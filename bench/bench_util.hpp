@@ -62,9 +62,9 @@ struct CoreBenchRecord {
   /// bandwidth number: it shrinks when lists compress, even where msg
   /// counts stay fixed. Methodology in docs/benchmarks.md.
   double bytes_per_msg = 0.0;
-  /// Worker threads this benchmark ran with (shard_threads for the
-  /// simulator benches, 1 for single-threaded ones) — NOT the machine's
-  /// thread count, which lives in the meta block.
+  /// Worker threads this benchmark really ran with: min(shard_threads,
+  /// usable threads) for the simulator benches, 1 for single-threaded
+  /// ones — NOT the machine's thread count, which lives in the meta block.
   unsigned threads = 1;
   /// Growth of the process peak RSS while this benchmark ran. Peak RSS is
   /// monotone, so the delta attributes footprint growth to the benchmark
@@ -105,6 +105,19 @@ struct BenchRunMeta {
   std::string timestamp_utc;  ///< ISO 8601, UTC
 };
 
+/// CPUs this process may run on (its affinity mask), falling back to
+/// std::thread::hardware_concurrency(); at least 1.
+inline unsigned usable_threads() {
+  unsigned usable = 0;
+  cpu_set_t affinity;
+  CPU_ZERO(&affinity);
+  if (sched_getaffinity(0, sizeof(affinity), &affinity) == 0) {
+    usable = static_cast<unsigned>(CPU_COUNT(&affinity));
+  }
+  if (usable == 0) usable = std::thread::hardware_concurrency();
+  return usable == 0 ? 1 : usable;
+}
+
 /// Best-effort collection of run metadata (every field degrades to a
 /// placeholder rather than failing).
 inline BenchRunMeta collect_run_meta() {
@@ -113,14 +126,7 @@ inline BenchRunMeta collect_run_meta() {
   meta.hardware_threads = configured > 0
                               ? static_cast<unsigned>(configured)
                               : std::thread::hardware_concurrency();
-  cpu_set_t affinity;
-  CPU_ZERO(&affinity);
-  if (sched_getaffinity(0, sizeof(affinity), &affinity) == 0) {
-    meta.usable_threads = static_cast<unsigned>(CPU_COUNT(&affinity));
-  }
-  if (meta.usable_threads == 0) {
-    meta.usable_threads = std::thread::hardware_concurrency();
-  }
+  meta.usable_threads = usable_threads();
 
   if (FILE* pipe = ::popen("git rev-parse HEAD 2>/dev/null", "r")) {
     char buffer[64] = {};

@@ -12,6 +12,7 @@
 // Any other flags pass through to google-benchmark.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -27,6 +28,7 @@
 #include "gossip/node.hpp"
 #include "gossip/partial_list.hpp"
 #include "gossip/replica_view.hpp"
+#include "net/message_bus.hpp"
 #include "sim/round_simulator.hpp"
 #include "store/wal.hpp"
 #include "version/store.hpp"
@@ -240,13 +242,17 @@ void BM_CodecLazyDecode(benchmark::State& state) {
 BENCHMARK(BM_CodecLazyDecode);
 
 /// Attaches the traffic counters the JSON reporter folds into its
-/// messages_per_sec / bytes_per_msg / threads columns.
+/// messages_per_sec / bytes_per_msg / threads columns. `shards` is the
+/// requested parallelism; the threads column records what could really
+/// run, min(shards, usable threads), so a scaling row captured on a
+/// one-CPU host does not claim eight threads.
 void set_traffic_counters(benchmark::State& state, std::uint64_t messages,
-                          std::uint64_t bytes, unsigned threads) {
+                          std::uint64_t bytes, unsigned shards) {
   state.counters["messages"] =
       benchmark::Counter(static_cast<double>(messages));
   state.counters["bytes"] = benchmark::Counter(static_cast<double>(bytes));
-  state.counters["threads"] = benchmark::Counter(static_cast<double>(threads));
+  state.counters["threads"] = benchmark::Counter(
+      static_cast<double>(std::min(shards, bench::usable_threads())));
 }
 
 void BM_StoreAppend(benchmark::State& state) {
@@ -338,6 +344,69 @@ void BM_StoreReplay10k(benchmark::State& state) {
   set_traffic_counters(state, replayed, bytes, 1);
 }
 BENCHMARK(BM_StoreReplay10k)->Unit(benchmark::kMillisecond);
+
+void BM_BusCollect(benchmark::State& state) {
+  // The bus exchange of one wire-mode round at sim_wire scale: ~230k
+  // frame-carrying envelopes, fanned out by senders of both source shards,
+  // collected into one 5,000-peer shard of a 10,000-peer population with
+  // 80 % of recipients offline (the paper's availability). Times
+  // collect_into alone — drop and release the offline-bound envelopes,
+  // place the rest by recipient, order each recipient's run; the sends
+  // that refill the bus are untimed.
+  constexpr std::uint32_t kPopulation = 10'000;
+  constexpr std::uint32_t kShardBlock = kPopulation / 2;
+  constexpr std::size_t kEnvelopes = 230'000;
+  constexpr std::size_t kFanout = 50;
+  common::Rng rng(13);
+  std::vector<std::uint8_t> online(kPopulation);
+  for (auto& flag : online) flag = rng.bernoulli(0.2) ? 1 : 0;
+  // One shared frame per fan-out, as FrameCache interning produces.
+  const gossip::WireBytes bytes = gossip::encode(codec_bench_payload());
+  struct Send {
+    common::PeerId from;
+    common::PeerId to;
+    std::uint32_t seq;
+    std::uint32_t frame;
+  };
+  std::vector<Send> sends;
+  std::vector<gossip::SharedFrame> frames;
+  std::vector<std::uint32_t> next_seq(kPopulation, 0);
+  while (sends.size() < kEnvelopes) {
+    const common::PeerId from(
+        static_cast<std::uint32_t>(rng.uniform_below(kPopulation)));
+    frames.emplace_back(bytes);
+    for (std::size_t i = 0; i < kFanout; ++i) {
+      const common::PeerId to(
+          static_cast<std::uint32_t>(rng.uniform_below(kShardBlock)));
+      sends.push_back(Send{from, to, next_seq[from.value()]++,
+                           static_cast<std::uint32_t>(frames.size() - 1)});
+    }
+  }
+  net::ShardedMessageBus<sim::SimPayload> bus(2, kPopulation);
+  std::vector<net::Envelope<sim::SimPayload>> batch;
+  const auto is_online = [&online](common::PeerId peer) {
+    return online[peer.value()] != 0;
+  };
+  std::uint64_t collected = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    batch.clear();
+    for (const Send& send : sends) {
+      sim::SimPayload payload;
+      payload.frame = frames[send.frame];
+      bus.send(send.from, send.to, std::move(payload), bytes.size(), 0,
+               send.seq);
+    }
+    bus.begin_round();
+    state.ResumeTiming();
+    bus.collect_into(0, batch, is_online);
+    benchmark::DoNotOptimize(batch.data());
+    benchmark::ClobberMemory();
+    collected += sends.size();
+  }
+  set_traffic_counters(state, collected, 0, 1);
+}
+BENCHMARK(BM_BusCollect)->Unit(benchmark::kMillisecond);
 
 void BM_SimulatedUpdate(benchmark::State& state) {
   const auto population = static_cast<std::size_t>(state.range(0));

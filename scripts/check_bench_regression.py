@@ -4,14 +4,20 @@
 Compares a fresh BENCH_core.json against the checked-in baseline on the
 guarded benchmarks and fails when wall time per op regresses more than the
 threshold. The guard is about catching accidental hot-path regressions in
-review, not about enforcing absolute numbers: both files must come from the
-SAME machine (the fresh run happens inside verify.sh moments earlier), so a
->15% ns_per_op swing on a pinned-iteration-count benchmark is a code change,
-not noise. Skip with verify.sh --skip-bench-guard on busy/shared hardware.
+review, not about enforcing absolute numbers, so it compares like hardware
+with like hardware only: both files' meta blocks must name the same
+cpu_model and usable_threads. When they differ (or a file has no meta
+block) it compares nothing and exits 2 with a message naming both hosts and
+the command that re-captures the baseline on this one; it never passes or
+fails such a pair silently. On matching hosts a >15% ns_per_op swing on a
+pinned-iteration-count benchmark is a code change, not noise. Skip with
+verify.sh --skip-bench-guard on busy/shared hardware.
 
 Usage:
   check_bench_regression.py BASELINE FRESH --bench NAME [--bench NAME ...]
       [--max-regression 0.15]
+
+Exit status: 0 no regression, 1 regression or missing row, 2 hosts differ.
 """
 
 import argparse
@@ -19,16 +25,31 @@ import json
 import sys
 
 
+RECAPTURE = ("re-capture the baseline on this host: ./build/bench/micro_core "
+             "from the repo root (Release preset), then commit "
+             "BENCH_core.json")
+
+
 def load_benchmarks(path):
+    """Returns (host, table): host is (cpu_model, usable_threads), with None
+    for a field the meta block lacks; table maps bare names to records."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    meta = doc.get("meta", {})
+    host = (meta.get("cpu_model"), meta.get("usable_threads"))
     table = {}
     for record in doc.get("benchmarks", []):
         # Registered names may carry gbench suffixes ("/iterations:1");
         # index by the bare prefix so guard names stay stable.
         bare = record["name"].split("/")[0]
         table.setdefault(bare, record)
-    return table
+    return host, table
+
+
+def describe(host):
+    cpu, threads = host
+    return (f"cpu_model={cpu if cpu is not None else '<missing>'!r}, "
+            f"usable_threads={threads if threads is not None else '<missing>'}")
 
 
 def main():
@@ -40,8 +61,18 @@ def main():
     parser.add_argument("--max-regression", type=float, default=0.15)
     opts = parser.parse_args()
 
-    baseline = load_benchmarks(opts.baseline)
-    fresh = load_benchmarks(opts.fresh)
+    baseline_host, baseline = load_benchmarks(opts.baseline)
+    fresh_host, fresh = load_benchmarks(opts.fresh)
+    if None in baseline_host or baseline_host != fresh_host:
+        print("bench guard REFUSED: the runs come from different hosts, so "
+              "their timings are not comparable", file=sys.stderr)
+        print(f"  baseline {opts.baseline}: {describe(baseline_host)}",
+              file=sys.stderr)
+        print(f"  fresh    {opts.fresh}: {describe(fresh_host)}",
+              file=sys.stderr)
+        print(f"  {RECAPTURE} (or pass --skip-bench-guard)", file=sys.stderr)
+        return 2
+    print(f"  host: {describe(fresh_host)}")
 
     failures = []
     for name in opts.benches:
@@ -70,9 +101,7 @@ def main():
         print("bench guard FAILED:", file=sys.stderr)
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
-        print("  (intentional? re-capture the baseline: "
-              "./build/bench/micro_core from the repo root, commit "
-              "BENCH_core.json — or pass --skip-bench-guard)",
+        print(f"  (intentional? {RECAPTURE} — or pass --skip-bench-guard)",
               file=sys.stderr)
         return 1
     print("  bench guard OK")

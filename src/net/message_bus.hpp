@@ -153,25 +153,30 @@ class MessageBus {
 ///
 /// The population [0, population) is cut into `shard_count` contiguous
 /// blocks. During the parallel phase each shard task mutates only its own
-/// row of outbox cells (send_from_shard) and its own stats slot, so no two
-/// threads ever touch the same cell — the bus needs no locks. The protocol
-/// is two-phase:
+/// row of outbox cells (send_from_shard), its own column of in-flight
+/// cells (collect_into) and its own slot, so no two threads ever touch the
+/// same cell — the bus needs no locks. The protocol is two-phase:
 ///
 ///   1. begin_round() — sequential: every cell's pending buffer becomes the
 ///      in-flight buffer (messages sent in round t surface in round t+1,
 ///      the discrete-time model of §3).
-///   2. collect_into(dst, batch) — one caller per dst shard, in parallel:
-///      gathers every in-flight envelope addressed to `dst` and sorts it by
-///      the canonical (to, from, seq) key. The canonical order makes the
-///      delivery sequence — and therefore every downstream RNG draw — a
-///      pure function of the message *set*, independent of shard count and
-///      thread interleaving. (from, seq) is unique per sender, so the sort
-///      has no ties and no reliance on stability.
+///   2. collect_into(dst, batch, is_online) — one caller per dst shard, in
+///      parallel: drops every in-flight envelope addressed to an offline
+///      peer of `dst` (counted as messages_to_offline and released at
+///      once), then places the rest into the canonical (to, from, seq)
+///      order. The canonical order makes the delivery sequence — and
+///      therefore every downstream RNG draw — a pure function of the
+///      message *set*, independent of shard count and thread
+///      interleaving. (from, seq) is unique per sender, so the order has
+///      no ties and no reliance on stability.
 ///
-/// Delivery policy (offline receivers, partitions, random loss) is the
-/// driver's job: it classifies each collected envelope and records the
-/// outcome into its shard_stats(dst) slot; send-side counters are kept by
-/// send_from_shard in the source shard's slot. stats() merges all slots.
+/// Offline receivers are the common case under the paper's availability
+/// (most pushes go to offline peers), so they are dropped before any
+/// ordering work. The rest of the delivery policy (partitions, random
+/// loss) is the driver's job: it classifies each collected envelope and
+/// records the outcome into its shard_stats(dst) slot; send-side counters
+/// are kept by send_from_shard in the source shard's slot. stats() merges
+/// all slots.
 template <typename Payload>
 class ShardedMessageBus {
  public:
@@ -182,7 +187,7 @@ class ShardedMessageBus {
         block_(population == 0 ? 1
                                : (population + shards_ - 1) / shards_),
         cells_(shards_ * shards_),
-        shard_stats_(shards_) {}
+        slots_(shards_) {}
 
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_; }
   [[nodiscard]] std::size_t shard_of(common::PeerId peer) const noexcept {
@@ -197,7 +202,7 @@ class ShardedMessageBus {
                        common::PeerId to, Payload payload,
                        std::uint64_t size_bytes, common::Round round,
                        std::uint32_t seq) {
-    BusStats& stats = shard_stats_[src_shard].stats;
+    BusStats& stats = slots_[src_shard].stats;
     ++stats.messages_sent;
     stats.bytes_sent += size_bytes;
     cells_[src_shard * shards_ + shard_of(to)].pending.push_back(
@@ -223,40 +228,92 @@ class ShardedMessageBus {
     }
   }
 
-  /// Gathers the in-flight envelopes addressed to shard `dst` into `batch`
-  /// (replacing its contents), sorted by (to, from, seq). Envelopes are
-  /// moved out; call once per shard per round, from the task owning `dst`.
-  void collect_into(std::size_t dst_shard, std::vector<EnvelopeT>& batch) {
-    batch.clear();
-    std::size_t total = 0;
+  /// Gathers the in-flight envelopes addressed to shard `dst_shard` into
+  /// `batch` (replacing its contents), sorted by (to, from, seq). An
+  /// envelope whose recipient fails `is_online(PeerId)` is dropped first:
+  /// it is counted into shard_stats(dst_shard).messages_to_offline and
+  /// destroyed before this call returns, so a ref-counted payload is
+  /// released here rather than at the next begin_round. Kept envelopes
+  /// are moved out and the column's cells are left empty (capacity
+  /// retained); call once per shard per round, from the task owning
+  /// `dst_shard`.
+  ///
+  /// Linear in the envelope count: a counting placement by recipient over
+  /// the shard's contiguous id block, then a sort of each recipient's
+  /// short run by (from, seq).
+  template <typename OnlineProbe>
+  void collect_into(std::size_t dst_shard, std::vector<EnvelopeT>& batch,
+                    OnlineProbe&& is_online) {
+    Slot& slot = slots_[dst_shard];
+    // run_ends[k] counts, then bounds, the run of recipient first + k.
+    // Ids past the population clamp into the last shard, so its block can
+    // be wider than block_.
+    std::vector<std::uint32_t>& run_ends = slot.run_ends;
+    run_ends.assign(block_, 0);
+    const std::uint64_t first = dst_shard * block_;
+    std::uint64_t offline = 0;
     for (std::size_t src = 0; src < shards_; ++src) {
-      total += cells_[src * shards_ + dst_shard].inflight.size();
-    }
-    batch.reserve(total);
-    for (std::size_t src = 0; src < shards_; ++src) {
-      for (EnvelopeT& envelope : cells_[src * shards_ + dst_shard].inflight) {
-        batch.push_back(std::move(envelope));
+      std::vector<EnvelopeT>& cell = cells_[src * shards_ + dst_shard].inflight;
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < cell.size(); ++i) {
+        if (!is_online(cell[i].to)) {
+          ++offline;
+          continue;
+        }
+        const std::uint64_t offset = cell[i].to.value() - first;
+        if (offset >= run_ends.size()) run_ends.resize(offset + 1, 0);
+        ++run_ends[offset];
+        if (kept != i) cell[kept] = std::move(cell[i]);
+        ++kept;
       }
+      cell.erase(cell.begin() + static_cast<std::ptrdiff_t>(kept),
+                 cell.end());
     }
-    std::sort(batch.begin(), batch.end(),
-              [](const EnvelopeT& a, const EnvelopeT& b) {
-                if (a.to != b.to) return a.to < b.to;
-                if (a.from != b.from) return a.from < b.from;
-                return a.seq < b.seq;
-              });
+    slot.stats.messages_to_offline += offline;
+
+    // Exclusive prefix sum: run_ends[k] becomes the start of run k; each
+    // placement then advances it, so it ends as the end of run k.
+    std::uint32_t total = 0;
+    for (std::uint32_t& entry : run_ends) {
+      const std::uint32_t count = entry;
+      entry = total;
+      total += count;
+    }
+    batch.clear();
+    batch.resize(total);
+    for (std::size_t src = 0; src < shards_; ++src) {
+      std::vector<EnvelopeT>& cell = cells_[src * shards_ + dst_shard].inflight;
+      for (EnvelopeT& envelope : cell) {
+        batch[run_ends[envelope.to.value() - first]++] = std::move(envelope);
+      }
+      cell.clear();
+    }
+
+    std::uint32_t begin = 0;
+    for (const std::uint32_t end : run_ends) {
+      if (end - begin > 1) {
+        std::sort(batch.begin() + static_cast<std::ptrdiff_t>(begin),
+                  batch.begin() + static_cast<std::ptrdiff_t>(end),
+                  [](const EnvelopeT& a, const EnvelopeT& b) {
+                    if (a.from != b.from) return a.from < b.from;
+                    return a.seq < b.seq;
+                  });
+      }
+      begin = end;
+    }
   }
 
   /// The stats slot owned by `shard` — the parallel task records its
   /// delivery outcomes here without contention.
   [[nodiscard]] BusStats& shard_stats(std::size_t shard) noexcept {
-    return shard_stats_[shard].stats;
+    return slots_[shard].stats;
   }
 
   /// Merged view over all shard slots.
   // holds(shard): read-only merge run sequentially after the round joins
   [[nodiscard]] BusStats stats() const {
     BusStats merged;
-    for (const PaddedStats& slot : shard_stats_) {
+    for (const Slot& slot : slots_) {
       merged.messages_sent += slot.stats.messages_sent;
       merged.messages_delivered += slot.stats.messages_delivered;
       merged.messages_to_offline += slot.stats.messages_to_offline;
@@ -279,15 +336,17 @@ class ShardedMessageBus {
     std::vector<EnvelopeT> pending;   ///< sends this round
     std::vector<EnvelopeT> inflight;  ///< deliverable this round
   };
-  /// Padded so per-shard counters never false-share a cache line.
-  struct alignas(64) PaddedStats {
+  /// One shard's counters and collect_into's placement scratch. Padded so
+  /// per-shard counters never false-share a cache line.
+  struct alignas(64) Slot {
     BusStats stats;
+    std::vector<std::uint32_t> run_ends;  ///< recipient run bounds
   };
 
   std::size_t shards_;
   std::size_t block_;
   std::vector<Cell> cells_;  ///< row-major [src][dst] — guarded-by(shard)
-  std::vector<PaddedStats> shard_stats_;  // guarded-by(shard)
+  std::vector<Slot> slots_;  // guarded-by(shard)
 };
 
 }  // namespace updp2p::net

@@ -33,10 +33,14 @@ std::uint64_t RunMetrics::total_bytes() const noexcept {
 }
 
 common::Round RunMetrics::rounds_to_quiescence() const noexcept {
+  // Round numbers are absolute: on a reused simulator an update's first
+  // round is wherever the previous update stopped.
   common::Round last_growth = 0;
   std::size_t previous_aware = 0;
   for (const auto& r : rounds) {
-    if (r.aware_online > previous_aware) last_growth = r.round;
+    if (r.aware_online > previous_aware) {
+      last_growth = r.round - rounds.front().round;
+    }
     previous_aware = r.aware_online;
   }
   return last_growth;

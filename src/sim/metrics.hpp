@@ -54,7 +54,8 @@ struct RunMetrics {
                : static_cast<double>(total_push_messages()) /
                      static_cast<double>(initial_online);
   }
-  /// Rounds until the last new peer became aware (latency).
+  /// Rounds until the last new peer became aware (latency), counted from
+  /// this update's first round.
   [[nodiscard]] common::Round rounds_to_quiescence() const noexcept;
 
   /// (x = F_aware, y = cumulative push messages / R_on(0)) as in the plots.

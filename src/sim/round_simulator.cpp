@@ -107,21 +107,23 @@ void RoundSimulator::dispatch_from(std::size_t shard, common::PeerId from,
       default: ++sh.query_messages; break;
     }
     const std::uint64_t size = message.size_bytes;
-    gossip::SharedFrame frame;
+    SimPayload carried;
     if (config_.serialize_messages) {
       // One interned encode per fan-out: a push forwarded to N targets
       // shares a single immutable frame (N-1 cache hits), and recipients
       // lazy-decode it in handle_frame. encoded_size() already priced the
-      // message exactly, which the frame must confirm byte for byte.
-      frame = sh.arena.frames.intern(message.payload);
-      UPDP2P_ENSURE(frame.size_bytes() == size,
+      // message exactly, which the frame must confirm byte for byte. Only
+      // the frame travels: the in-memory payload is released with `out`,
+      // in this thread, instead of by whichever shard delivers it.
+      carried.frame = sh.arena.frames.intern(message.payload);
+      UPDP2P_ENSURE(carried.frame.size_bytes() == size,
                     "encoded_size must equal the encoded frame length");
+    } else {
+      carried.payload = std::move(message.payload);
     }
     sh.bytes += size;
-    bus_.send_from_shard(shard, from, message.to,
-                         SimPayload{std::move(message.payload),
-                                    std::move(frame)},
-                         size, round_, seq++);
+    bus_.send_from_shard(shard, from, message.to, std::move(carried), size,
+                         round_, seq++);
   }
   out.clear();
 }
@@ -176,8 +178,12 @@ void RoundSimulator::step_shard(unsigned shard) {
   sh.reset_counters();
 
   // 1. Deliver this shard's slice of last round's messages, in canonical
-  //    (to, from, seq) order.
-  bus_.collect_into(shard, sh.batch);
+  //    (to, from, seq) order. The bus drops (and counts) messages to
+  //    offline peers before ordering anything; partitions and random loss
+  //    are classified here, in that order.
+  bus_.collect_into(shard, sh.batch, [this](common::PeerId peer) {
+    return online_[peer.value()] != 0;
+  });
   net::BusStats& bstats = bus_.shard_stats(shard);
   const bool has_filter = static_cast<bool>(link_filter_);
   const double loss = config_.message_loss;
@@ -185,10 +191,6 @@ void RoundSimulator::step_shard(unsigned shard) {
   std::uint32_t loss_recipient = std::numeric_limits<std::uint32_t>::max();
   for (auto& envelope : sh.batch) {
     const std::uint32_t to = envelope.to.value();
-    if (online_[to] == 0) {
-      ++bstats.messages_to_offline;
-      continue;
-    }
     if (has_filter && !link_filter_(envelope.from, envelope.to)) {
       // §3: peers across a cut perceive each other as offline, but the
       // loss is attributed separately so partition experiments report

@@ -65,14 +65,14 @@ struct RoundSimConfig {
 };
 
 /// What travels on the simulator's bus. In-memory runs carry only the
-/// payload; serialize_messages runs additionally carry the encoded frame,
-/// interned once per fan-out (gossip::FrameCache) and shared by reference
-/// across every recipient — delivery then goes through
-/// ReplicaNode::handle_frame (probe + lazy decode) and never reads
-/// `payload`, so the run exercises exactly what a deployment would receive.
+/// payload; serialize_messages runs carry only the encoded frame (the
+/// payload stays default-constructed), interned once per fan-out
+/// (gossip::FrameCache) and shared by reference across every recipient —
+/// delivery then goes through ReplicaNode::handle_frame (probe + lazy
+/// decode), so the run exercises exactly what a deployment would receive.
 struct SimPayload {
-  gossip::GossipPayload payload;
-  gossip::SharedFrame frame;  ///< engaged only when serialize_messages
+  gossip::GossipPayload payload;  ///< engaged only in in-memory runs
+  gossip::SharedFrame frame;      ///< engaged only when serialize_messages
 };
 
 class RoundSimulator {
@@ -81,9 +81,13 @@ class RoundSimulator {
   RoundSimulator(RoundSimConfig config,
                  std::unique_ptr<churn::ChurnModel> churn);
 
-  /// Resets churn/network state and propagates one update published by
-  /// `initiator` (or by a random online peer when nullopt). Returns the
-  /// per-round metrics of this update's dissemination.
+  /// Propagates one update published by `initiator` (or by a random
+  /// online peer when nullopt), continuing from the current round, churn
+  /// state and in-flight messages: only the per-update metric tracking
+  /// starts afresh, so consecutive calls model a sequence of updates on
+  /// one network. Returns the per-round metrics of this update's
+  /// dissemination; their `round` fields are absolute
+  /// (RunMetrics::rounds_to_quiescence() is relative to the first).
   RunMetrics propagate_update(
       std::optional<common::PeerId> initiator = std::nullopt,
       std::string key = "item", std::string payload = "v1");

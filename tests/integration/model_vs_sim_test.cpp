@@ -3,6 +3,8 @@
 // implementations, so agreement is evidence both transcribe §4.2 correctly.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "analysis/push_model.hpp"
 #include "sim/round_simulator.hpp"
 
@@ -17,6 +19,12 @@ struct AgreementCase {
   bool partial_list;
   double pf_base;  // 1.0 = constant flooding
 };
+
+// Without a printer GoogleTest dumps the struct's raw bytes, a string
+// pointer and padding among them, and CTest would name each case after a
+// value that changes on every run. The printed case name becomes the
+// CTest name instead.
+void PrintTo(const AgreementCase& c, std::ostream* os) { *os << c.name; }
 
 class ModelVsSim : public ::testing::TestWithParam<AgreementCase> {};
 
@@ -70,10 +78,7 @@ INSTANTIATE_TEST_SUITE_P(
         AgreementCase{"flood_20pct_online", 0.2, 1.0, 0.02, true, 1.0},
         AgreementCase{"flood_sigma95", 0.3, 0.95, 0.02, true, 1.0},
         AgreementCase{"no_list_20pct", 0.2, 1.0, 0.02, false, 1.0},
-        AgreementCase{"decay_pf09", 0.3, 0.95, 0.02, true, 0.9}),
-    [](const ::testing::TestParamInfo<AgreementCase>& param_info) {
-      return param_info.param.name;
-    });
+        AgreementCase{"decay_pf09", 0.3, 0.95, 0.02, true, 0.9}));
 
 }  // namespace
 }  // namespace updp2p

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
+#include <tuple>
+#include <vector>
 
 namespace updp2p::net {
 namespace {
@@ -151,14 +155,14 @@ TEST(ShardedMessageBus, TwoPhaseDelivery) {
   bus.send(PeerId(1), PeerId(7), "late", 4, 1, /*seq=*/0);
 
   std::vector<ShardedStringBus::EnvelopeT> batch;
-  bus.collect_into(bus.shard_of(PeerId(7)), batch);
+  bus.collect_into(bus.shard_of(PeerId(7)), batch, always_online);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].payload, "early");
   EXPECT_EQ(batch[0].from, PeerId(0));
   EXPECT_EQ(batch[0].size_bytes, 5u);
 
   bus.begin_round();
-  bus.collect_into(bus.shard_of(PeerId(7)), batch);
+  bus.collect_into(bus.shard_of(PeerId(7)), batch, always_online);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].payload, "late");
 }
@@ -181,7 +185,7 @@ TEST(ShardedMessageBus, CollectSortsCanonically) {
   bus.begin_round();
 
   std::vector<ShardedStringBus::EnvelopeT> batch;
-  bus.collect_into(0, batch);  // peers 0..9 live in shard 0
+  bus.collect_into(0, batch, always_online);  // peers 0..9: shard 0
   ASSERT_EQ(batch.size(), 5u);
   EXPECT_EQ(batch[0].payload, "a");   // to=1
   EXPECT_EQ(batch[1].payload, "b1");  // to=2, from=5, seq=3
@@ -210,9 +214,102 @@ TEST(ShardedMessageBus, SingleShardDegenerateCase) {
   bus.send(PeerId(0), PeerId(1), "m", 1, 0, 0);
   bus.begin_round();
   std::vector<ShardedStringBus::EnvelopeT> batch;
-  bus.collect_into(0, batch);
+  bus.collect_into(0, batch, always_online);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].payload, "m");
+}
+
+TEST(ShardedMessageBus, CollectMatchesFilterThenSortReference) {
+  // Property: for random message sets and random online masks, collecting
+  // every shard yields exactly the reference — drop offline recipients,
+  // then std::sort by (to, from, seq) — counts each drop once, and
+  // releases a dropped payload before collect_into returns.
+  using Payload = std::shared_ptr<const int>;
+  using Bus = ShardedMessageBus<Payload>;
+  struct Sent {
+    PeerId to;
+    PeerId from;
+    std::uint32_t seq;
+    Payload payload;
+  };
+  Rng rng(0xb05);
+  for (const std::size_t shards : {1u, 2u, 3u, 8u}) {
+    for (int trial = 0; trial < 25; ++trial) {
+      const auto population =
+          static_cast<std::uint32_t>(1 + rng.uniform_below(300));
+      const double online_share =
+          std::vector<double>{0.0, 0.2, 0.5, 1.0}[rng.uniform_below(4)];
+      std::vector<bool> online(population + 16);
+      for (std::size_t i = 0; i < online.size(); ++i) {
+        online[i] = rng.bernoulli(online_share);
+      }
+      const auto is_online = [&online](PeerId peer) {
+        return static_cast<bool>(online[peer.value()]);
+      };
+
+      Bus bus(shards, population);
+      std::vector<std::uint32_t> next_seq(population, 0);
+      std::vector<Sent> sent;
+      const auto messages = rng.uniform_below(1'500);
+      for (std::uint64_t m = 0; m < messages; ++m) {
+        const PeerId from(static_cast<std::uint32_t>(
+            rng.uniform_below(population)));
+        // A few recipients lie past the population; they clamp into the
+        // last shard.
+        const PeerId to(static_cast<std::uint32_t>(
+            rng.uniform_below(population + 16)));
+        const std::uint32_t seq = next_seq[from.value()]++;
+        auto payload = std::make_shared<const int>(static_cast<int>(m));
+        bus.send(from, to, payload, 1, 0, seq);
+        sent.push_back(Sent{to, from, seq, std::move(payload)});
+      }
+      bus.begin_round();
+
+      std::vector<const Sent*> reference;
+      std::uint64_t offline_addressed = 0;
+      for (const Sent& message : sent) {
+        if (is_online(message.to)) {
+          reference.push_back(&message);
+        } else {
+          ++offline_addressed;
+        }
+      }
+      std::sort(reference.begin(), reference.end(),
+                [](const Sent* a, const Sent* b) {
+                  return std::tie(a->to, a->from, a->seq) <
+                         std::tie(b->to, b->from, b->seq);
+                });
+
+      // Shard blocks ascend by id, so the per-shard batches concatenated
+      // in shard order must equal the globally sorted reference.
+      std::vector<Bus::EnvelopeT> batch;
+      std::size_t position = 0;
+      std::uint64_t dropped = 0;
+      for (std::size_t dst = 0; dst < shards; ++dst) {
+        bus.collect_into(dst, batch, is_online);
+        dropped += bus.shard_stats(dst).messages_to_offline;
+        for (const Sent& message : sent) {
+          if (bus.shard_of(message.to) != dst) continue;
+          // A kept payload is shared with the batch; a dropped one is
+          // already held by the test alone.
+          EXPECT_EQ(message.payload.use_count(),
+                    is_online(message.to) ? 2 : 1);
+        }
+        for (const auto& envelope : batch) {
+          ASSERT_LT(position, reference.size());
+          const Sent& expected = *reference[position++];
+          EXPECT_EQ(bus.shard_of(envelope.to), dst);
+          EXPECT_EQ(envelope.to, expected.to);
+          EXPECT_EQ(envelope.from, expected.from);
+          EXPECT_EQ(envelope.seq, expected.seq);
+          EXPECT_EQ(envelope.payload, expected.payload);
+        }
+      }
+      EXPECT_EQ(position, reference.size())
+          << "shards=" << shards << " trial=" << trial;
+      EXPECT_EQ(dropped, offline_addressed);
+    }
+  }
 }
 
 }  // namespace

@@ -58,6 +58,14 @@ TEST(RunMetrics, RoundsToQuiescenceIsLastGrowthRound) {
   EXPECT_EQ(run.rounds_to_quiescence(), 1u);
 }
 
+TEST(RunMetrics, RoundsToQuiescenceIsRelativeToFirstRound) {
+  // A reused simulator numbers an update's rounds from wherever the
+  // previous update stopped; latency must not inherit that offset.
+  auto run = sample_run();
+  for (auto& round : run.rounds) round.round += 40;
+  EXPECT_EQ(run.rounds_to_quiescence(), 1u);
+}
+
 TEST(RunMetrics, EmptyRunIsSafe) {
   RunMetrics run;
   EXPECT_EQ(run.total_messages(), 0u);

@@ -48,6 +48,31 @@ TEST(RoundSimulator, DeterministicForSameSeed) {
   EXPECT_EQ(ma.rounds.size(), mb.rounds.size());
 }
 
+TEST(RoundSimulator, SecondUpdateLatencyCountsFromItsOwnFirstRound) {
+  auto config = base_config();
+  config.reconnect_pull = false;
+  config.round_timers = false;
+  auto simulator = make_push_phase_simulator(config, 1.0, 1.0);
+  const auto first = simulator->propagate_update(std::nullopt, "item", "v1");
+  const auto second = simulator->propagate_update(std::nullopt, "item", "v2");
+  ASSERT_FALSE(second.rounds.empty());
+  // The simulator kept counting rounds across the two updates...
+  EXPECT_EQ(second.rounds.front().round, first.rounds.back().round);
+  EXPECT_GT(second.rounds.front().round, 0u);
+  // ...but latency is measured from the update's own publish round:
+  // rounds[i] is the i-th round after the publish, so the latency indexes
+  // the round in which the last peer became aware.
+  const common::Round latency = second.rounds_to_quiescence();
+  ASSERT_GT(latency, 0u);
+  ASSERT_LT(latency, second.rounds.size());
+  EXPECT_EQ(second.rounds[latency].round,
+            second.rounds.front().round + latency);
+  EXPECT_LT(second.rounds[latency - 1].aware_online,
+            second.rounds[latency].aware_online);
+  EXPECT_EQ(second.rounds[latency].aware_online,
+            second.rounds.back().aware_online);
+}
+
 TEST(RoundSimulator, DifferentSeedsDiffer) {
   auto config_a = base_config();
   config_a.seed = 1;
