@@ -97,20 +97,6 @@ void BM_StoreDelta(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreDelta);
 
-void BM_ViewSample(benchmark::State& state) {
-  const auto population = static_cast<std::uint32_t>(state.range(0));
-  gossip::ReplicaView view{common::PeerId(0)};
-  for (std::uint32_t i = 1; i < population; ++i) {
-    view.add(common::PeerId(i));
-  }
-  common::Rng rng(99);
-  const std::unordered_set<common::PeerId> exclude;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(view.sample(rng, 32, exclude));
-  }
-}
-BENCHMARK(BM_ViewSample)->Arg(256)->Arg(4096);
-
 void BM_ViewSampleInto(benchmark::State& state) {
   // The allocation-free path the simulators actually run: scratch output
   // vector plus the view's own epoch-stamped scratch sets.
@@ -127,22 +113,6 @@ void BM_ViewSampleInto(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ViewSampleInto)->Arg(256)->Arg(4096);
-
-void BM_BuildForwardList(benchmark::State& state) {
-  gossip::PartialListConfig config;
-  config.mode = gossip::PartialListMode::kDropRandom;
-  config.max_entries = 128;
-  common::ChunkedPeerSet received;
-  std::vector<common::PeerId> targets;
-  for (std::uint32_t i = 0; i < 256; ++i) received.insert(common::PeerId(i));
-  for (std::uint32_t i = 200; i < 260; ++i) targets.emplace_back(i);
-  common::Rng rng(3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gossip::build_forward_list(
-        config, received, targets, common::PeerId(1000), rng));
-  }
-}
-BENCHMARK(BM_BuildForwardList);
 
 void BM_BuildForwardListInto(benchmark::State& state) {
   // The allocation-free path the node runs per handled push: merge the

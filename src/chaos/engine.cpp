@@ -18,8 +18,8 @@ namespace updp2p::chaos {
 
 namespace {
 
-/// Purpose key for each peer's bootstrap view sample (chaos-local stream;
-/// distinct from LoopbackCluster's so the two harnesses never collide).
+/// Purpose key for each peer's bootstrap view sample — distinct from the
+/// runtime's protocol and retry-jitter streams under the same (seed, peer).
 constexpr std::uint64_t kBootstrapPurpose = 0xB007C4;
 
 /// mkdir -p: a data root like "build/chaos-sweep/storm/run-3" must come
@@ -462,6 +462,7 @@ ChaosReport Engine::run() {
     summary.wipes = slot.wipes;
     if (slot.alive()) {
       summary.state = slot.runtime->node().store().content_digest();
+      summary.stats = slot.runtime->stats();
     }
     report_.peers.push_back(summary);
   }

@@ -27,6 +27,7 @@
 #include "chaos/scenario.hpp"
 #include "common/hash.hpp"
 #include "net/inproc_transport.hpp"
+#include "runtime/peer_runtime.hpp"
 
 namespace updp2p::chaos {
 
@@ -47,6 +48,7 @@ struct PeerSummary {
   unsigned restarts = 0;
   unsigned wipes = 0;
   common::Digest128 state;  ///< final content digest (zero when dead)
+  runtime::RuntimeStats stats;  ///< final runtime counters (zero when dead)
 };
 
 struct ChaosReport {

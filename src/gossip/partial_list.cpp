@@ -57,16 +57,6 @@ void build_forward_list_into(const PartialListConfig& config,
   }
 }
 
-template <typename RngT>
-common::ChunkedPeerSet build_forward_list(
-    const PartialListConfig& config, const common::ChunkedPeerSet& received,
-    const std::vector<common::PeerId>& new_targets, common::PeerId self,
-    RngT& rng) {
-  common::ChunkedPeerSet out;
-  build_forward_list_into(config, received, new_targets, self, rng, out);
-  return out;
-}
-
 template void build_forward_list_into(const PartialListConfig&,
                                       const common::ChunkedPeerSet&,
                                       std::span<const common::PeerId>,
@@ -77,11 +67,5 @@ template void build_forward_list_into(const PartialListConfig&,
                                       std::span<const common::PeerId>,
                                       common::PeerId, common::StreamRng&,
                                       common::ChunkedPeerSet&);
-template common::ChunkedPeerSet build_forward_list(
-    const PartialListConfig&, const common::ChunkedPeerSet&,
-    const std::vector<common::PeerId>&, common::PeerId, common::Rng&);
-template common::ChunkedPeerSet build_forward_list(
-    const PartialListConfig&, const common::ChunkedPeerSet&,
-    const std::vector<common::PeerId>&, common::PeerId, common::StreamRng&);
 
 }  // namespace updp2p::gossip

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "common/chunked_peer_set.hpp"
 #include "common/rng.hpp"
@@ -33,12 +32,5 @@ void build_forward_list_into(const PartialListConfig& config,
                              std::span<const common::PeerId> new_targets,
                              common::PeerId self, RngT& rng,
                              common::ChunkedPeerSet& out);
-
-/// Allocating convenience wrapper around build_forward_list_into.
-template <typename RngT>
-[[nodiscard]] common::ChunkedPeerSet build_forward_list(
-    const PartialListConfig& config, const common::ChunkedPeerSet& received,
-    const std::vector<common::PeerId>& new_targets, common::PeerId self,
-    RngT& rng);
 
 }  // namespace updp2p::gossip

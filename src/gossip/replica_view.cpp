@@ -199,24 +199,6 @@ void ReplicaView::sample_into(RngT& rng, std::size_t count,
   }
 }
 
-template <typename RngT>
-std::vector<common::PeerId> ReplicaView::sample(
-    RngT& rng, std::size_t count,
-    const std::unordered_set<common::PeerId>& exclude,
-    common::Round now) const {
-  std::vector<common::PeerId> out;
-  if (exclude.empty()) {
-    sample_into(rng, count, out, nullptr, now);
-    return out;
-  }
-  common::DensePeerSet& scratch = arena().exclude;
-  scratch.clear();
-  // lint-allow(iteration-order): set-to-set copy, membership is order-free
-  for (const common::PeerId peer : exclude) scratch.insert(peer);
-  sample_into(rng, count, out, &scratch, now);
-  return out;
-}
-
 template void ReplicaView::sample_into(common::Rng&, std::size_t,
                                        std::vector<common::PeerId>&,
                                        const common::DensePeerSet*,
@@ -225,11 +207,5 @@ template void ReplicaView::sample_into(common::StreamRng&, std::size_t,
                                        std::vector<common::PeerId>&,
                                        const common::DensePeerSet*,
                                        common::Round) const;
-template std::vector<common::PeerId> ReplicaView::sample(
-    common::Rng&, std::size_t, const std::unordered_set<common::PeerId>&,
-    common::Round) const;
-template std::vector<common::PeerId> ReplicaView::sample(
-    common::StreamRng&, std::size_t,
-    const std::unordered_set<common::PeerId>&, common::Round) const;
 
 }  // namespace updp2p::gossip

@@ -27,7 +27,6 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/chunked_peer_set.hpp"
@@ -99,13 +98,6 @@ class ReplicaView {
                    std::vector<common::PeerId>& out,
                    const common::DensePeerSet* exclude = nullptr,
                    common::Round now = 0) const;
-
-  /// Allocating convenience wrapper around sample_into.
-  template <typename RngT>
-  [[nodiscard]] std::vector<common::PeerId> sample(
-      RngT& rng, std::size_t count,
-      const std::unordered_set<common::PeerId>& exclude = {},
-      common::Round now = 0) const;
 
   /// How strongly §6-preferred peers are oversampled (1 = no preference).
   void set_preferred_weight(unsigned weight) noexcept {

@@ -4,22 +4,21 @@
 // online a communication channel may be established between them", and a
 // peer that cannot be reached is indistinguishable from an offline peer.
 // The bus therefore models only what the protocol observes — delivery to
-// online peers, loss to offline ones, optional random loss — plus the
-// bookkeeping the evaluation measures (message and byte counts, §4.1).
+// online peers, loss to offline ones — plus the bookkeeping the evaluation
+// measures (message and byte counts, §4.1). Partitions and random loss are
+// the driver's policy, recorded into the same counters.
 //
 // The bus is round-synchronous: messages sent during round t are delivered
-// at the start of round t+1, matching the discrete-time analysis model.
+// at the start of round t+1, matching the discrete-time analysis model. A
+// sequential driver uses one shard; the parallel round engine uses one per
+// worker.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <span>
 #include <utility>
 #include <vector>
 
-#include "common/ensure.hpp"
-#include "common/rng.hpp"
 #include "common/types.hpp"
 
 namespace updp2p::net {
@@ -29,8 +28,8 @@ struct BusStats {
   std::uint64_t messages_sent = 0;       ///< all sends, incl. to offline peers
   std::uint64_t messages_delivered = 0;  ///< receiver was online
   std::uint64_t messages_to_offline = 0; ///< receiver offline: silently lost
-  std::uint64_t messages_partitioned = 0;///< blocked by the link filter (cut)
-  std::uint64_t messages_dropped = 0;    ///< random loss (loss_probability)
+  std::uint64_t messages_partitioned = 0;///< driver's link filter cut it
+  std::uint64_t messages_dropped = 0;    ///< the driver's random loss
   std::uint64_t bytes_sent = 0;
 
   [[nodiscard]] double delivery_ratio() const noexcept {
@@ -59,93 +58,6 @@ struct Envelope {
   /// round, which gives the sharded bus a total delivery order that does
   /// not depend on shard layout or thread interleaving.
   std::uint32_t seq = 0;
-};
-
-/// Round-synchronous message bus.
-///
-/// Usage per round: protocol calls send() any number of times; the driver
-/// then calls deliver_round(online_probe) which applies loss, filters
-/// messages addressed to offline peers, and returns the deliverable batch.
-template <typename Payload>
-class MessageBus {
- public:
-  using EnvelopeT = Envelope<Payload>;
-
-  explicit MessageBus(double loss_probability = 0.0)
-      : loss_probability_(loss_probability) {
-    UPDP2P_ENSURE(loss_probability >= 0.0 && loss_probability <= 1.0,
-                  "loss probability must be in [0,1]");
-  }
-
-  void send(common::PeerId from, common::PeerId to, Payload payload,
-            std::uint64_t size_bytes, common::Round round) {
-    ++stats_.messages_sent;
-    stats_.bytes_sent += size_bytes;
-    pending_.push_back(
-        EnvelopeT{from, to, std::move(payload), size_bytes, round});
-  }
-
-  /// Installs a connectivity predicate: a message is deliverable only when
-  /// `filter(from, to)` is true. Models network partitions — peers across a
-  /// cut "simply perceive each other to be offline" (§3). Pass nullptr to
-  /// heal all partitions.
-  void set_link_filter(
-      std::function<bool(common::PeerId, common::PeerId)> filter) {
-    link_filter_ = std::move(filter);
-  }
-
-  /// Flushes the pending batch. `is_online(PeerId)` decides deliverability.
-  ///
-  /// Double-buffered: the returned span is a non-owning window onto an
-  /// internal vector that is reused (capacity retained) across rounds, so
-  /// a steady-state round performs no allocation here. The batch — and any
-  /// reference into its payloads — is invalidated by the next
-  /// deliver_round call; do not hold it (or spans derived from it) across
-  /// rounds. send() during iteration is safe (it appends to the separate
-  /// pending buffer).
-  template <typename OnlineProbe>
-  [[nodiscard]] std::span<const EnvelopeT> deliver_round(
-      OnlineProbe&& is_online, common::Rng& rng) {
-    delivered_.clear();
-    delivered_.reserve(pending_.size());
-    // Hoist the std::function emptiness test out of the loop; the common
-    // unpartitioned case then never touches the indirection.
-    const bool has_filter = static_cast<bool>(link_filter_);
-    for (auto& envelope : pending_) {
-      if (!is_online(envelope.to)) {
-        ++stats_.messages_to_offline;
-        continue;
-      }
-      if (has_filter && !link_filter_(envelope.from, envelope.to)) {
-        // §3: peers across a cut perceive each other as offline, but the
-        // loss is attributed separately so partition experiments report
-        // honest numbers.
-        ++stats_.messages_partitioned;
-        continue;
-      }
-      if (loss_probability_ > 0.0 && rng.bernoulli(loss_probability_)) {
-        ++stats_.messages_dropped;
-        continue;
-      }
-      ++stats_.messages_delivered;
-      delivered_.push_back(std::move(envelope));
-    }
-    pending_.clear();
-    return delivered_;
-  }
-
-  [[nodiscard]] std::size_t pending_count() const noexcept {
-    return pending_.size();
-  }
-  [[nodiscard]] const BusStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = BusStats{}; }
-
- private:
-  double loss_probability_;
-  std::function<bool(common::PeerId, common::PeerId)> link_filter_;
-  std::vector<EnvelopeT> pending_;
-  std::vector<EnvelopeT> delivered_;  ///< reused batch buffer (double buffer)
-  BusStats stats_;
 };
 
 /// Round-synchronous bus partitioned into per-(src_shard, dst_shard)

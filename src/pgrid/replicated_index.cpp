@@ -9,9 +9,11 @@ namespace updp2p::pgrid {
 ReplicatedIndex::ReplicatedIndex(ReplicatedIndexConfig config)
     : config_(std::move(config)),
       rng_(config_.seed),
-      grid_(PGridNetwork::build(config_.grid)) {
+      grid_(PGridNetwork::build(config_.grid)),
+      bus_(1, grid_.peer_count()) {
   nodes_.reserve(grid_.peer_count());
   online_.assign(grid_.peer_count(), true);
+  send_seq_.assign(grid_.peer_count(), 0);
 
   for (std::uint32_t i = 0; i < grid_.peer_count(); ++i) {
     const common::PeerId self(i);
@@ -34,11 +36,13 @@ std::size_t ReplicatedIndex::online_count() const {
 }
 
 void ReplicatedIndex::dispatch(common::PeerId from,
-                               std::vector<gossip::OutboundMessage> out) {
+                               std::vector<gossip::OutboundMessage>& out) {
+  std::uint32_t& seq = send_seq_[from.value()];
   for (auto& message : out) {
     bus_.send(from, message.to, std::move(message.payload),
-              message.size_bytes, round_);
+              message.size_bytes, round_, seq++);
   }
+  out.clear();
 }
 
 void ReplicatedIndex::set_online(common::PeerId peer, bool online) {
@@ -46,7 +50,8 @@ void ReplicatedIndex::set_online(common::PeerId peer, bool online) {
   if (online_[idx] == online) return;
   online_[idx] = online;
   if (online) {
-    dispatch(peer, nodes_[idx]->on_reconnect(round_));
+    nodes_[idx]->on_reconnect(round_, reactions_);
+    dispatch(peer, reactions_);
   } else {
     nodes_[idx]->on_disconnect(round_);
   }
@@ -54,16 +59,23 @@ void ReplicatedIndex::set_online(common::PeerId peer, bool online) {
 
 void ReplicatedIndex::step_round() {
   ++round_;
-  const auto delivered = bus_.deliver_round(
-      [this](common::PeerId to) { return online_[to.value()]; }, rng_);
-  for (const auto& envelope : delivered) {
-    dispatch(envelope.to,
-             nodes_[envelope.to.value()]->handle_message(
-                 envelope.from, envelope.payload, round_));
+  // Last round's sends become deliverable; the bus drops (and counts) the
+  // ones addressed to offline peers and orders the rest by (to, from, seq).
+  bus_.begin_round();
+  bus_.collect_into(0, batch_, [this](common::PeerId to) {
+    return static_cast<bool>(online_[to.value()]);
+  });
+  bus_.shard_stats(0).messages_delivered += batch_.size();
+  for (const auto& envelope : batch_) {
+    nodes_[envelope.to.value()]->handle_message(envelope.from,
+                                                envelope.payload, round_,
+                                                reactions_);
+    dispatch(envelope.to, reactions_);
   }
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
     if (!online_[i]) continue;
-    dispatch(common::PeerId(i), nodes_[i]->on_round_start(round_));
+    nodes_[i]->on_round_start(round_, reactions_);
+    dispatch(common::PeerId(i), reactions_);
   }
 }
 
@@ -105,8 +117,8 @@ RouteOutcome ReplicatedIndex::put(common::PeerId origin, std::string_view key,
   RouteOutcome outcome = route(origin, key_path, route_retries);
   if (!outcome.ok) return outcome;
   auto& responsible = *nodes_[outcome.responsible.value()];
-  dispatch(outcome.responsible,
-           responsible.publish(key, std::move(payload), round_));
+  auto out = responsible.publish(key, std::move(payload), round_);
+  dispatch(outcome.responsible, out);
   return outcome;
 }
 
@@ -117,7 +129,8 @@ RouteOutcome ReplicatedIndex::remove(common::PeerId origin,
   RouteOutcome outcome = route(origin, key_path, route_retries);
   if (!outcome.ok) return outcome;
   auto& responsible = *nodes_[outcome.responsible.value()];
-  dispatch(outcome.responsible, responsible.remove(key, round_));
+  auto out = responsible.remove(key, round_);
+  dispatch(outcome.responsible, out);
   return outcome;
 }
 

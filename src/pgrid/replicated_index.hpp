@@ -107,9 +107,7 @@ class ReplicatedIndex {
   [[nodiscard]] std::size_t population() const noexcept {
     return nodes_.size();
   }
-  [[nodiscard]] const net::BusStats& bus_stats() const noexcept {
-    return bus_.stats();
-  }
+  [[nodiscard]] net::BusStats bus_stats() const { return bus_.stats(); }
 
   /// Fraction of the replica group of `key` whose winning version for the
   /// key equals `id` (consistency probe for tests/monitoring).
@@ -119,7 +117,8 @@ class ReplicatedIndex {
  private:
   RouteOutcome route(common::PeerId origin, const BitPath& key_path,
                      unsigned retries);
-  void dispatch(common::PeerId from, std::vector<gossip::OutboundMessage> out);
+  /// Sends `out` from `from` onto the bus and clears it.
+  void dispatch(common::PeerId from, std::vector<gossip::OutboundMessage>& out);
 
   ReplicatedIndexConfig config_;
   common::Rng rng_;
@@ -128,7 +127,13 @@ class ReplicatedIndex {
   PGridNetwork grid_;
   std::vector<std::unique_ptr<gossip::ReplicaNode>> nodes_;
   std::vector<bool> online_;
-  net::MessageBus<gossip::GossipPayload> bus_;
+  /// One shard: the sequential driver collects every recipient at once.
+  net::ShardedMessageBus<gossip::GossipPayload> bus_;
+  /// Per-sender bus sequence numbers: (from, seq) orders a round's batch.
+  std::vector<std::uint32_t> send_seq_;
+  std::vector<net::Envelope<gossip::GossipPayload>> batch_;
+  /// Reactions buffer reused by every delivery and timer call.
+  std::vector<gossip::OutboundMessage> reactions_;
   common::Round round_ = 0;
 };
 

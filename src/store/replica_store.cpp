@@ -52,7 +52,10 @@ std::optional<ReplicaStore> ReplicaStore::open(StoreConfig config,
         return std::nullopt;
       }
       store.recovered_log_.resize(raw.size());
-      std::memcpy(store.recovered_log_.data(), raw.data(), raw.size());
+      // An empty log's buffers may be null, which memcpy may not receive.
+      if (!raw.empty()) {
+        std::memcpy(store.recovered_log_.data(), raw.data(), raw.size());
+      }
     }
   }
   const WalScanResult scan = scan_wal(

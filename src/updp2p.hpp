@@ -34,7 +34,6 @@
 #include "net/udp_transport.hpp"            // IWYU pragma: export
 #include "pgrid/pgrid.hpp"                  // IWYU pragma: export
 #include "pgrid/replicated_index.hpp"       // IWYU pragma: export
-#include "runtime/loopback_cluster.hpp"     // IWYU pragma: export
 #include "runtime/peer_runtime.hpp"         // IWYU pragma: export
 #include "runtime/retry.hpp"                // IWYU pragma: export
 #include "runtime/timer_wheel.hpp"          // IWYU pragma: export

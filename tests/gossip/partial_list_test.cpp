@@ -29,17 +29,19 @@ TEST(PartialList, NoneModeYieldsEmptyList) {
   PartialListConfig config;
   config.mode = PartialListMode::kNone;
   Rng rng(1);
-  EXPECT_TRUE(
-      build_forward_list(config, set_of({1, 2}), ids({3}), PeerId(9), rng)
-          .empty());
+  ChunkedPeerSet list = set_of({5});
+  build_forward_list_into(config, set_of({1, 2}), ids({3}), PeerId(9), rng,
+                          list);
+  EXPECT_TRUE(list.empty());
 }
 
 TEST(PartialList, UnboundedMergesReceivedSelfAndTargets) {
   PartialListConfig config;
   config.mode = PartialListMode::kUnbounded;
   Rng rng(1);
-  const auto list =
-      build_forward_list(config, set_of({1, 2}), ids({3, 4}), PeerId(9), rng);
+  ChunkedPeerSet list;
+  build_forward_list_into(config, set_of({1, 2}), ids({3, 4}), PeerId(9), rng,
+                          list);
   EXPECT_EQ(list, set_of({1, 2, 3, 4, 9}));
 }
 
@@ -47,8 +49,9 @@ TEST(PartialList, Deduplicates) {
   PartialListConfig config;
   config.mode = PartialListMode::kUnbounded;
   Rng rng(1);
-  const auto list =
-      build_forward_list(config, set_of({1, 2, 9}), ids({2, 3}), PeerId(9), rng);
+  ChunkedPeerSet list;
+  build_forward_list_into(config, set_of({1, 2, 9}), ids({2, 3}), PeerId(9),
+                          rng, list);
   EXPECT_EQ(list, set_of({1, 2, 3, 9}));
 }
 
@@ -57,8 +60,9 @@ TEST(PartialList, DropTailKeepsLowestIds) {
   config.mode = PartialListMode::kDropTail;
   config.max_entries = 3;
   Rng rng(1);
-  const auto list = build_forward_list(config, set_of({1, 2, 3, 4}), ids({5}),
-                                       PeerId(9), rng);
+  ChunkedPeerSet list;
+  build_forward_list_into(config, set_of({1, 2, 3, 4}), ids({5}), PeerId(9),
+                          rng, list);
   EXPECT_EQ(list, set_of({1, 2, 3}));
 }
 
@@ -67,8 +71,9 @@ TEST(PartialList, DropHeadKeepsHighestIds) {
   config.mode = PartialListMode::kDropHead;
   config.max_entries = 3;
   Rng rng(1);
-  const auto list = build_forward_list(config, set_of({1, 2, 3, 4}), ids({5}),
-                                       PeerId(9), rng);
+  ChunkedPeerSet list;
+  build_forward_list_into(config, set_of({1, 2, 3, 4}), ids({5}), PeerId(9),
+                          rng, list);
   // merged = {1 2 3 4 5 9} -> keep the 3 highest ids.
   EXPECT_EQ(list, set_of({4, 5, 9}));
 }
@@ -79,8 +84,8 @@ TEST(PartialList, DropRandomKeepsCapSizedSubset) {
   config.max_entries = 4;
   Rng rng(2);
   const auto received = set_of({1, 2, 3, 4, 5, 6, 7, 8});
-  const auto list =
-      build_forward_list(config, received, ids({10}), PeerId(9), rng);
+  ChunkedPeerSet list;
+  build_forward_list_into(config, received, ids({10}), PeerId(9), rng, list);
   EXPECT_EQ(list.size(), 4u);
   // Every survivor came from the merged input (a set cannot hold dupes).
   auto merged = received;
@@ -95,8 +100,9 @@ TEST(PartialList, CapNotExceededNotTruncatedBelow) {
   config.mode = PartialListMode::kDropRandom;
   config.max_entries = 10;
   Rng rng(3);
-  const auto list =
-      build_forward_list(config, set_of({1, 2}), ids({3}), PeerId(9), rng);
+  ChunkedPeerSet list;
+  build_forward_list_into(config, set_of({1, 2}), ids({3}), PeerId(9), rng,
+                          list);
   EXPECT_EQ(list.size(), 4u);  // under cap: everything kept
 }
 
@@ -121,9 +127,10 @@ TEST(PartialList, DropRandomIsUnbiasedish) {
   std::unordered_map<PeerId, int> kept;
   constexpr int kTrials = 6'000;
   const auto received = set_of({1, 2, 3});
+  ChunkedPeerSet list;
   for (int i = 0; i < kTrials; ++i) {
-    build_forward_list(config, received, {}, PeerId(9), rng)
-        .for_each([&](PeerId peer) { ++kept[peer]; });
+    build_forward_list_into(config, received, {}, PeerId(9), rng, list);
+    list.for_each([&](PeerId peer) { ++kept[peer]; });
   }
   // 4 candidates (1,2,3,self=9), 2 kept -> each expected kTrials/2.
   for (const auto& [peer, count] : kept) {

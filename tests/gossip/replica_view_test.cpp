@@ -4,10 +4,14 @@
 
 #include <array>
 #include <unordered_set>
+#include <vector>
+
+#include "common/dense_peer_set.hpp"
 
 namespace updp2p::gossip {
 namespace {
 
+using common::DensePeerSet;
 using common::PeerId;
 using common::Rng;
 
@@ -39,7 +43,8 @@ TEST(ReplicaView, SampleReturnsDistinctMembers) {
   ReplicaView view{PeerId(0)};
   for (std::uint32_t i = 1; i <= 50; ++i) view.add(PeerId(i));
   Rng rng(1);
-  const auto sample = view.sample(rng, 10, {});
+  std::vector<PeerId> sample;
+  view.sample_into(rng, 10, sample);
   EXPECT_EQ(sample.size(), 10u);
   std::unordered_set<PeerId> unique(sample.begin(), sample.end());
   EXPECT_EQ(unique.size(), 10u);
@@ -50,11 +55,13 @@ TEST(ReplicaView, SampleHonoursExclusions) {
   ReplicaView view{PeerId(0)};
   for (std::uint32_t i = 1; i <= 10; ++i) view.add(PeerId(i));
   Rng rng(2);
-  std::unordered_set<PeerId> exclude{PeerId(1), PeerId(2), PeerId(3)};
+  DensePeerSet exclude;
+  for (std::uint32_t i = 1; i <= 3; ++i) exclude.insert(PeerId(i));
+  std::vector<PeerId> sample;
   for (int trial = 0; trial < 50; ++trial) {
-    for (const PeerId peer : view.sample(rng, 7, exclude)) {
-      EXPECT_FALSE(exclude.contains(peer));
-    }
+    view.sample_into(rng, 7, sample, &exclude);
+    EXPECT_EQ(sample.size(), 7u);
+    for (const PeerId peer : sample) EXPECT_FALSE(exclude.contains(peer));
   }
 }
 
@@ -63,16 +70,26 @@ TEST(ReplicaView, SampleReturnsFewerWhenViewSmall) {
   view.add(PeerId(1));
   view.add(PeerId(2));
   Rng rng(3);
-  EXPECT_EQ(view.sample(rng, 10, {}).size(), 2u);
+  std::vector<PeerId> sample;
+  view.sample_into(rng, 10, sample);
+  EXPECT_EQ(sample.size(), 2u);
 }
 
 TEST(ReplicaView, SampleEmptyCases) {
   ReplicaView view{PeerId(0)};
   Rng rng(4);
-  EXPECT_TRUE(view.sample(rng, 5, {}).empty());
+  // Stale contents are replaced, even when nothing is sampled.
+  std::vector<PeerId> sample{PeerId(7)};
+  view.sample_into(rng, 5, sample);
+  EXPECT_TRUE(sample.empty());
   view.add(PeerId(1));
-  EXPECT_TRUE(view.sample(rng, 0, {}).empty());
-  EXPECT_TRUE(view.sample(rng, 5, {PeerId(1)}).empty());
+  sample.assign(1, PeerId(7));
+  view.sample_into(rng, 0, sample);
+  EXPECT_TRUE(sample.empty());
+  DensePeerSet exclude;
+  exclude.insert(PeerId(1));
+  view.sample_into(rng, 5, sample, &exclude);
+  EXPECT_TRUE(sample.empty());
 }
 
 TEST(ReplicaView, PresumedOfflineSkippedUntilExpiry) {
@@ -86,8 +103,9 @@ TEST(ReplicaView, PresumedOfflineSkippedUntilExpiry) {
   EXPECT_EQ(view.presumed_offline_count(5), 1u);
 
   Rng rng(5);
+  std::vector<PeerId> sample;
   for (int trial = 0; trial < 30; ++trial) {
-    const auto sample = view.sample(rng, 2, {}, /*now=*/5);
+    view.sample_into(rng, 2, sample, nullptr, /*now=*/5);
     ASSERT_EQ(sample.size(), 1u);
     EXPECT_EQ(sample[0], PeerId(2));
   }
@@ -97,9 +115,8 @@ TEST(ReplicaView, PresumedOfflineSkippedUntilExpiry) {
   // After expiry peer 1 is eligible again.
   bool seen1 = false;
   for (int trial = 0; trial < 30 && !seen1; ++trial) {
-    for (const PeerId peer : view.sample(rng, 2, {}, /*now=*/10)) {
-      seen1 |= peer == PeerId(1);
-    }
+    view.sample_into(rng, 2, sample, nullptr, /*now=*/10);
+    for (const PeerId peer : sample) seen1 |= peer == PeerId(1);
   }
   EXPECT_TRUE(seen1);
 }
@@ -144,8 +161,10 @@ TEST(ReplicaView, PreferredPeersAreOversampled) {
   int preferred_hits = 0;
   int other_hits = 0;
   constexpr int kTrials = 4'000;
+  std::vector<PeerId> sample;
   for (int trial = 0; trial < kTrials; ++trial) {
-    for (const PeerId peer : view.sample(rng, 1, {})) {
+    view.sample_into(rng, 1, sample);
+    for (const PeerId peer : sample) {
       if (peer == PeerId(1)) {
         ++preferred_hits;
       } else if (peer == PeerId(2)) {
@@ -163,8 +182,9 @@ TEST(ReplicaView, PreferredDoesNotDuplicateInOneSample) {
   view.add(PeerId(2));
   view.mark_preferred(PeerId(1));
   Rng rng(7);
+  std::vector<PeerId> sample;
   for (int trial = 0; trial < 50; ++trial) {
-    const auto sample = view.sample(rng, 2, {});
+    view.sample_into(rng, 2, sample);
     std::unordered_set<PeerId> unique(sample.begin(), sample.end());
     EXPECT_EQ(unique.size(), sample.size());
   }

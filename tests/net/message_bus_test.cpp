@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace updp2p::net {
 namespace {
@@ -14,16 +17,29 @@ namespace {
 using common::PeerId;
 using common::Rng;
 
-using StringBus = MessageBus<std::string>;
-
 auto always_online = [](PeerId) { return true; };
 
+using ShardedStringBus = ShardedMessageBus<std::string>;
+
+// MessageBus: the round-synchronous §3 bus as the sequential drivers
+// (pgrid::ReplicatedIndex) use it — one shard, one collect per round, the
+// driver counting deliveries.
+
+/// One driver round: publish what was sent, collect it, count deliveries.
+std::vector<ShardedStringBus::EnvelopeT> deliver_round(
+    ShardedStringBus& bus, const std::function<bool(PeerId)>& is_online) {
+  std::vector<ShardedStringBus::EnvelopeT> batch;
+  bus.begin_round();
+  bus.collect_into(0, batch, is_online);
+  bus.shard_stats(0).messages_delivered += batch.size();
+  return batch;
+}
+
 TEST(MessageBus, DeliversToOnlinePeers) {
-  StringBus bus;
-  Rng rng(1);
-  bus.send(PeerId(1), PeerId(2), "hello", 10, 0);
+  ShardedStringBus bus(1, 3);
+  bus.send(PeerId(1), PeerId(2), "hello", 10, 0, 0);
   EXPECT_EQ(bus.pending_count(), 1u);
-  const auto delivered = bus.deliver_round(always_online, rng);
+  const auto delivered = deliver_round(bus, always_online);
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_EQ(delivered[0].from, PeerId(1));
   EXPECT_EQ(delivered[0].to, PeerId(2));
@@ -33,12 +49,11 @@ TEST(MessageBus, DeliversToOnlinePeers) {
 }
 
 TEST(MessageBus, DropsMessagesToOfflinePeers) {
-  StringBus bus;
-  Rng rng(1);
-  bus.send(PeerId(1), PeerId(2), "a", 1, 0);
-  bus.send(PeerId(1), PeerId(3), "b", 1, 0);
-  const auto delivered = bus.deliver_round(
-      [](PeerId to) { return to == PeerId(3); }, rng);
+  ShardedStringBus bus(1, 4);
+  bus.send(PeerId(1), PeerId(2), "a", 1, 0, 0);
+  bus.send(PeerId(1), PeerId(3), "b", 1, 0, 1);
+  const auto delivered =
+      deliver_round(bus, [](PeerId to) { return to == PeerId(3); });
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_EQ(delivered[0].payload, "b");
   EXPECT_EQ(bus.stats().messages_to_offline, 1u);
@@ -46,82 +61,33 @@ TEST(MessageBus, DropsMessagesToOfflinePeers) {
 }
 
 TEST(MessageBus, StatsAccumulate) {
-  StringBus bus;
-  Rng rng(1);
-  bus.send(PeerId(1), PeerId(2), "x", 100, 0);
-  bus.send(PeerId(1), PeerId(2), "y", 50, 0);
-  (void)bus.deliver_round(always_online, rng);
+  ShardedStringBus bus(1, 3);
+  bus.send(PeerId(1), PeerId(2), "x", 100, 0, 0);
+  bus.send(PeerId(1), PeerId(2), "y", 50, 0, 1);
+  (void)deliver_round(bus, always_online);
   EXPECT_EQ(bus.stats().messages_sent, 2u);
   EXPECT_EQ(bus.stats().bytes_sent, 150u);
   EXPECT_DOUBLE_EQ(bus.stats().delivery_ratio(), 1.0);
-  bus.reset_stats();
-  EXPECT_EQ(bus.stats().messages_sent, 0u);
+  // Counters accumulate across rounds.
+  bus.send(PeerId(2), PeerId(1), "z", 5, 1, 0);
+  (void)deliver_round(bus, always_online);
+  EXPECT_EQ(bus.stats().messages_sent, 3u);
+  EXPECT_EQ(bus.stats().bytes_sent, 155u);
+  EXPECT_EQ(bus.stats().messages_delivered, 3u);
 }
 
 TEST(MessageBus, EmptyRoundDeliversNothing) {
-  StringBus bus;
-  Rng rng(1);
-  EXPECT_TRUE(bus.deliver_round(always_online, rng).empty());
+  ShardedStringBus bus(1, 3);
+  EXPECT_TRUE(deliver_round(bus, always_online).empty());
   EXPECT_DOUBLE_EQ(bus.stats().delivery_ratio(), 1.0);  // vacuous
 }
 
-TEST(MessageBus, RandomLossApproximatesProbability) {
-  StringBus bus(0.25);
-  Rng rng(42);
-  constexpr int kMessages = 20'000;
-  for (int i = 0; i < kMessages; ++i) {
-    bus.send(PeerId(1), PeerId(2), "m", 1, 0);
-  }
-  const auto delivered = bus.deliver_round(always_online, rng);
-  const double loss_rate = 1.0 - static_cast<double>(delivered.size()) /
-                                     static_cast<double>(kMessages);
-  EXPECT_NEAR(loss_rate, 0.25, 0.01);
-  EXPECT_EQ(bus.stats().messages_dropped + bus.stats().messages_delivered,
-            static_cast<std::uint64_t>(kMessages));
-}
-
-TEST(MessageBus, LossZeroNeverDrops) {
-  StringBus bus(0.0);
-  Rng rng(1);
-  for (int i = 0; i < 100; ++i) bus.send(PeerId(0), PeerId(1), "m", 1, 0);
-  EXPECT_EQ(bus.deliver_round(always_online, rng).size(), 100u);
-  EXPECT_EQ(bus.stats().messages_dropped, 0u);
-}
-
-TEST(MessageBus, LinkFilterBlocksSelectedLinks) {
-  StringBus bus;
-  Rng rng(1);
-  bus.set_link_filter([](PeerId from, PeerId to) {
-    return !(from == PeerId(1) && to == PeerId(2));
-  });
-  bus.send(PeerId(1), PeerId(2), "blocked", 1, 0);
-  bus.send(PeerId(2), PeerId(1), "allowed", 1, 0);
-  const auto delivered = bus.deliver_round(always_online, rng);
-  ASSERT_EQ(delivered.size(), 1u);
-  EXPECT_EQ(delivered[0].payload, "allowed");
-  // §3: peers across a cut perceive each other as offline, but the bus
-  // attributes the loss to its own counter so experiments stay honest.
-  EXPECT_EQ(bus.stats().messages_partitioned, 1u);
-  EXPECT_EQ(bus.stats().messages_to_offline, 0u);
-}
-
-TEST(MessageBus, LinkFilterCanBeHealed) {
-  StringBus bus;
-  Rng rng(1);
-  bus.set_link_filter([](PeerId, PeerId) { return false; });
-  bus.send(PeerId(0), PeerId(1), "first", 1, 0);
-  EXPECT_TRUE(bus.deliver_round(always_online, rng).empty());
-  bus.set_link_filter(nullptr);
-  bus.send(PeerId(0), PeerId(1), "second", 1, 1);
-  EXPECT_EQ(bus.deliver_round(always_online, rng).size(), 1u);
-}
-
 TEST(MessageBus, MessagesQueueAcrossSends) {
-  StringBus bus;
-  Rng rng(1);
-  bus.send(PeerId(0), PeerId(1), "first", 1, 0);
-  bus.send(PeerId(0), PeerId(1), "second", 1, 0);
-  const auto delivered = bus.deliver_round(always_online, rng);
+  // One sender's messages arrive in send (seq) order.
+  ShardedStringBus bus(1, 2);
+  bus.send(PeerId(0), PeerId(1), "first", 1, 0, 0);
+  bus.send(PeerId(0), PeerId(1), "second", 1, 0, 1);
+  const auto delivered = deliver_round(bus, always_online);
   ASSERT_EQ(delivered.size(), 2u);
   EXPECT_EQ(delivered[0].payload, "first");
   EXPECT_EQ(delivered[1].payload, "second");
@@ -130,8 +96,6 @@ TEST(MessageBus, MessagesQueueAcrossSends) {
 // ---------------------------------------------------------------------------
 // ShardedMessageBus: the two-phase, per-(src, dst)-cell bus behind the
 // parallel round engine.
-
-using ShardedStringBus = ShardedMessageBus<std::string>;
 
 TEST(ShardedMessageBus, ShardOfPartitionsContiguously) {
   ShardedStringBus bus(/*shard_count=*/4, /*population=*/100);

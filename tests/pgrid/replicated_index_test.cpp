@@ -177,5 +177,47 @@ TEST(ReplicatedIndex, BusAccountsTraffic) {
   EXPECT_GT(index.bus_stats().bytes_sent, 0u);
 }
 
+struct ChurnedRun {
+  net::BusStats bus;
+  double consistency = 0.0;
+};
+
+ChurnedRun run_churned() {
+  ReplicatedIndex index(small_config());
+  const auto outcome = index.put(PeerId(0), "doc", "v1");
+  EXPECT_TRUE(outcome.ok);
+  churn::SessionChurn churn(128, 15.0, 10.0);
+  common::Rng rng(11);
+  churn.reset(rng);
+  index.drive(churn, rng, 30);
+  // With every peer offline one more round drains the sends still in
+  // flight (all now addressed to offline peers) and queues none.
+  for (std::uint32_t i = 0; i < 128; ++i) index.set_online(PeerId(i), false);
+  index.step_round();
+  ChurnedRun run;
+  run.bus = index.bus_stats();
+  const auto value = index.node(outcome.responsible).read("doc");
+  EXPECT_TRUE(value.has_value());
+  if (value) run.consistency = index.group_consistency("doc", value->id);
+  return run;
+}
+
+TEST(ReplicatedIndex, ChurnedRunAccountsEveryMessageAndReplays) {
+  const ChurnedRun first = run_churned();
+  // Every send is either delivered or lost to an offline recipient: a
+  // driver that forgets to count its deliveries breaks the balance.
+  EXPECT_GT(first.bus.messages_delivered, 0u);
+  EXPECT_GT(first.bus.messages_to_offline, 0u);
+  EXPECT_EQ(first.bus.messages_sent,
+            first.bus.messages_delivered + first.bus.messages_to_offline);
+
+  const ChurnedRun second = run_churned();
+  EXPECT_EQ(first.bus.messages_sent, second.bus.messages_sent);
+  EXPECT_EQ(first.bus.messages_delivered, second.bus.messages_delivered);
+  EXPECT_EQ(first.bus.messages_to_offline, second.bus.messages_to_offline);
+  EXPECT_EQ(first.bus.bytes_sent, second.bus.bytes_sent);
+  EXPECT_EQ(first.consistency, second.consistency);
+}
+
 }  // namespace
 }  // namespace updp2p::pgrid
