@@ -317,12 +317,13 @@ BENCHMARK(BM_StoreReplay10k)->Unit(benchmark::kMillisecond);
 
 void BM_BusCollect(benchmark::State& state) {
   // The bus exchange of one wire-mode round at sim_wire scale: ~230k
-  // frame-carrying envelopes, fanned out by senders of both source shards,
+  // slot-carrying envelopes, fanned out by senders of both source shards,
   // collected into one 5,000-peer shard of a 10,000-peer population with
-  // 80 % of recipients offline (the paper's availability). Times
-  // collect_into alone — drop and release the offline-bound envelopes,
-  // place the rest by recipient, order each recipient's run; the sends
-  // that refill the bus are untimed.
+  // 80 % of recipients offline (the paper's availability). Every envelope
+  // of a fan-out carries the same outbox slot, as RoundOutbox::put gives
+  // it. Times collect_into alone — drop the offline-bound envelopes, place
+  // the rest by recipient, order each recipient's run; the sends that
+  // refill the bus are untimed.
   constexpr std::uint32_t kPopulation = 10'000;
   constexpr std::uint32_t kShardBlock = kPopulation / 2;
   constexpr std::size_t kEnvelopes = 230'000;
@@ -330,30 +331,26 @@ void BM_BusCollect(benchmark::State& state) {
   common::Rng rng(13);
   std::vector<std::uint8_t> online(kPopulation);
   for (auto& flag : online) flag = rng.bernoulli(0.2) ? 1 : 0;
-  // One shared frame per fan-out, as FrameCache interning produces.
-  const gossip::WireBytes bytes = gossip::encode(codec_bench_payload());
+  const std::size_t frame_bytes = gossip::encoded_size(codec_bench_payload());
   struct Send {
     common::PeerId from;
     common::PeerId to;
     std::uint32_t seq;
-    std::uint32_t frame;
+    std::uint32_t slot;
   };
   std::vector<Send> sends;
-  std::vector<gossip::SharedFrame> frames;
   std::vector<std::uint32_t> next_seq(kPopulation, 0);
-  while (sends.size() < kEnvelopes) {
+  for (std::uint32_t slot = 0; sends.size() < kEnvelopes; ++slot) {
     const common::PeerId from(
         static_cast<std::uint32_t>(rng.uniform_below(kPopulation)));
-    frames.emplace_back(bytes);
     for (std::size_t i = 0; i < kFanout; ++i) {
       const common::PeerId to(
           static_cast<std::uint32_t>(rng.uniform_below(kShardBlock)));
-      sends.push_back(Send{from, to, next_seq[from.value()]++,
-                           static_cast<std::uint32_t>(frames.size() - 1)});
+      sends.push_back(Send{from, to, next_seq[from.value()]++, slot});
     }
   }
-  net::ShardedMessageBus<sim::SimPayload> bus(2, kPopulation);
-  std::vector<net::Envelope<sim::SimPayload>> batch;
+  net::ShardedMessageBus<std::uint32_t> bus(2, kPopulation);
+  std::vector<net::Envelope<std::uint32_t>> batch;
   const auto is_online = [&online](common::PeerId peer) {
     return online[peer.value()] != 0;
   };
@@ -362,10 +359,7 @@ void BM_BusCollect(benchmark::State& state) {
     state.PauseTiming();
     batch.clear();
     for (const Send& send : sends) {
-      sim::SimPayload payload;
-      payload.frame = frames[send.frame];
-      bus.send(send.from, send.to, std::move(payload), bytes.size(), 0,
-               send.seq);
+      bus.send(send.from, send.to, send.slot, frame_bytes, send.seq);
     }
     bus.begin_round();
     state.ResumeTiming();

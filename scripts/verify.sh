@@ -131,7 +131,8 @@ echo "==> sanitizers: TSan build + concurrency suites"
 # The tsan test preset filters to the suites that actually spawn threads or
 # drive the live event loop: the work-stealing sweep pool, the sharded
 # round engine and bus, the golden-determinism suite (ShardInvariance
-# drives 8 shard threads), the runtime layer (timer wheel, PeerRuntime,
+# drives 8 shard threads), the wire-equivalence suite (each shard thread
+# reads the encoded frames in other shards' round outboxes), the runtime layer (timer wheel, PeerRuntime,
 # loopback golden, inproc/UDP transports — the UDP suite exercises real
 # kernel socket I/O under TSan), and the durable-store suites (PeerRuntime
 # owns a ReplicaStore, so the WAL/snapshot/recovery + fuzz paths run under

@@ -42,18 +42,17 @@ struct BusStats {
 
 /// In-flight or delivered message envelope.
 ///
-/// Payloads are moved, never copied, between send and delivery, so a
-/// Payload holding ref-counted data (e.g. a gossip::SharedFrame of encoded
-/// bytes) fans out to N recipients for N refcount bumps — the bus itself
-/// never duplicates a wire frame. size_bytes is whatever the sender
-/// charged; the bus only accumulates it.
+/// Payloads are moved, never copied, between send and delivery. The round
+/// simulator's payload is a 32-bit slot into the sending shard's round
+/// outbox (sim::RoundOutbox), so its envelope is 16 bytes and a fan-out to
+/// N recipients stores the message once; pgrid::ReplicatedIndex carries
+/// the gossip::GossipPayload itself. Sizes are charged at send, into
+/// BusStats::bytes_sent, and do not travel.
 template <typename Payload>
 struct Envelope {
   common::PeerId from;
   common::PeerId to;
   Payload payload;
-  std::uint64_t size_bytes = 0;
-  common::Round sent_round = 0;
   /// Per-sender monotone sequence number. (from, seq) is unique within a
   /// round, which gives the sharded bus a total delivery order that does
   /// not depend on shard layout or thread interleaving.
@@ -61,12 +60,12 @@ struct Envelope {
 };
 
 /// Round-synchronous bus partitioned into per-(src_shard, dst_shard)
-/// outboxes for parallel round execution.
+/// cells for parallel round execution.
 ///
 /// The population [0, population) is cut into `shard_count` contiguous
 /// blocks. During the parallel phase each shard task mutates only its own
-/// row of outbox cells (send_from_shard), its own column of in-flight
-/// cells (collect_into) and its own slot, so no two threads ever touch the
+/// row of cells (send_from_shard), its own column of in-flight cells
+/// (collect_into) and its own stats slot, so no two threads ever touch the
 /// same cell — the bus needs no locks. The protocol is two-phase:
 ///
 ///   1. begin_round() — sequential: every cell's pending buffer becomes the
@@ -74,13 +73,18 @@ struct Envelope {
 ///      the discrete-time model of §3).
 ///   2. collect_into(dst, batch, is_online) — one caller per dst shard, in
 ///      parallel: drops every in-flight envelope addressed to an offline
-///      peer of `dst` (counted as messages_to_offline and released at
+///      peer of `dst` (counted as messages_to_offline and destroyed at
 ///      once), then places the rest into the canonical (to, from, seq)
 ///      order. The canonical order makes the delivery sequence — and
 ///      therefore every downstream RNG draw — a pure function of the
 ///      message *set*, independent of shard count and thread
 ///      interleaving. (from, seq) is unique per sender, so the order has
 ///      no ties and no reliance on stability.
+///
+/// An envelope lives for exactly one round: sent in round t, collected (or
+/// destroyed by the next begin_round) in round t+1. A slot payload that
+/// indexes the sender's storage therefore needs that storage only until
+/// the end of round t+1's parallel phase.
 ///
 /// Offline receivers are the common case under the paper's availability
 /// (most pushes go to offline peers), so they are dropped before any
@@ -112,21 +116,19 @@ class ShardedMessageBus {
   /// shards by disjointness, not by locking.
   void send_from_shard(std::size_t src_shard, common::PeerId from,
                        common::PeerId to, Payload payload,
-                       std::uint64_t size_bytes, common::Round round,
-                       std::uint32_t seq) {
+                       std::uint64_t size_bytes, std::uint32_t seq) {
     BusStats& stats = slots_[src_shard].stats;
     ++stats.messages_sent;
     stats.bytes_sent += size_bytes;
     cells_[src_shard * shards_ + shard_of(to)].pending.push_back(
-        EnvelopeT{from, to, std::move(payload), size_bytes, round, seq});
+        EnvelopeT{from, to, std::move(payload), seq});
   }
 
   /// Sequential-context convenience (round-0 publish, reconnect hooks).
   void send(common::PeerId from, common::PeerId to, Payload payload,
-            std::uint64_t size_bytes, common::Round round,
-            std::uint32_t seq) {
+            std::uint64_t size_bytes, std::uint32_t seq) {
     send_from_shard(shard_of(from), from, to, std::move(payload), size_bytes,
-                    round, seq);
+                    seq);
   }
 
   /// Publishes the pending buffers: everything sent before this call

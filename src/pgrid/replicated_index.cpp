@@ -40,7 +40,7 @@ void ReplicatedIndex::dispatch(common::PeerId from,
   std::uint32_t& seq = send_seq_[from.value()];
   for (auto& message : out) {
     bus_.send(from, message.to, std::move(message.payload),
-              message.size_bytes, round_, seq++);
+              message.size_bytes, seq++);
   }
   out.clear();
 }

@@ -31,6 +31,40 @@ unsigned resolve_shard_count(unsigned shard_threads, std::size_t population) {
 }
 }  // namespace
 
+std::uint32_t RoundOutbox::put(gossip::GossipPayload&& payload) {
+  if (const auto* push = std::get_if<gossip::PushMessage>(&payload)) {
+    if (key_slot_ != kNoSlot &&
+        push->value.identity() == key_value_.identity() &&
+        push->flooding_list.identity() == key_list_.identity() &&
+        push->round == key_round_) {
+      return key_slot_;
+    }
+    key_value_ = push->value;
+    key_list_ = push->flooding_list;
+    key_round_ = push->round;
+    key_slot_ = static_cast<std::uint32_t>(size());
+  }
+  const auto slot = static_cast<std::uint32_t>(size());
+  if (wire_) {
+    gossip::encode_into(payload, scratch_);
+    frames_.push_back(FrameSpan{static_cast<std::uint32_t>(bytes_.size()),
+                                static_cast<std::uint32_t>(scratch_.size())});
+    bytes_.insert(bytes_.end(), scratch_.begin(), scratch_.end());
+  } else {
+    payloads_.push_back(std::move(payload));
+  }
+  return slot;
+}
+
+void RoundOutbox::clear() {
+  bytes_.clear();
+  frames_.clear();
+  payloads_.clear();
+  key_value_ = gossip::SharedValue();
+  key_list_ = gossip::SharedPeerList();
+  key_slot_ = kNoSlot;
+}
+
 RoundSimulator::RoundSimulator(RoundSimConfig config,
                                std::unique_ptr<churn::ChurnModel> churn)
     : config_(std::move(config)),
@@ -46,6 +80,10 @@ RoundSimulator::RoundSimulator(RoundSimConfig config,
                 "churn population must match simulator population");
   UPDP2P_ENSURE(config_.message_loss >= 0.0 && config_.message_loss <= 1.0,
                 "loss probability must be in [0,1]");
+  for (Shard& sh : shards_) {
+    sh.outbox = {RoundOutbox(config_.serialize_messages),
+                 RoundOutbox(config_.serialize_messages)};
+  }
 
   nodes_.reserve(config_.population);
   for (std::uint32_t i = 0; i < config_.population; ++i) {
@@ -97,6 +135,7 @@ RoundSimulator::RoundSimulator(RoundSimConfig config,
 void RoundSimulator::dispatch_from(std::size_t shard, common::PeerId from,
                                    std::vector<gossip::OutboundMessage>& out) {
   Shard& sh = shards_[shard];
+  RoundOutbox& box = sh.outbox[round_ & 1];
   std::uint32_t& seq = send_seq_[from.value()];
   for (auto& message : out) {
     switch (message.payload.index()) {
@@ -107,23 +146,15 @@ void RoundSimulator::dispatch_from(std::size_t shard, common::PeerId from,
       default: ++sh.query_messages; break;
     }
     const std::uint64_t size = message.size_bytes;
-    SimPayload carried;
-    if (config_.serialize_messages) {
-      // One interned encode per fan-out: a push forwarded to N targets
-      // shares a single immutable frame (N-1 cache hits), and recipients
-      // lazy-decode it in handle_frame. encoded_size() already priced the
-      // message exactly, which the frame must confirm byte for byte. Only
-      // the frame travels: the in-memory payload is released with `out`,
-      // in this thread, instead of by whichever shard delivers it.
-      carried.frame = sh.arena.frames.intern(message.payload);
-      UPDP2P_ENSURE(carried.frame.size_bytes() == size,
-                    "encoded_size must equal the encoded frame length");
-    } else {
-      carried.payload = std::move(message.payload);
-    }
+    // A push forwarded to N targets is stored (in wire mode: encoded) once
+    // and its slot sent N times. In wire mode the in-memory payload is
+    // released with `out`, in this thread.
+    const std::uint32_t slot = box.put(std::move(message.payload));
+    UPDP2P_ENSURE(
+        !config_.serialize_messages || box.frame(slot).size() == size,
+        "encoded_size must equal the encoded frame length");
     sh.bytes += size;
-    bus_.send_from_shard(shard, from, message.to, std::move(carried), size,
-                         round_, seq++);
+    bus_.send_from_shard(shard, from, message.to, slot, size, seq++);
   }
   out.clear();
 }
@@ -176,6 +207,9 @@ double RoundSimulator::aware_fraction(const version::VersionId& id) const {
 void RoundSimulator::step_shard(unsigned shard) {
   Shard& sh = shards_[shard];
   sh.reset_counters();
+  // This outbox holds round_ - 2's sends; every shard read them in the
+  // previous round's parallel phase, so it is free for this round's.
+  sh.outbox[round_ & 1].clear();
 
   // 1. Deliver this shard's slice of last round's messages, in canonical
   //    (to, from, seq) order. The bus drops (and counts) messages to
@@ -189,7 +223,8 @@ void RoundSimulator::step_shard(unsigned shard) {
   const double loss = config_.message_loss;
   common::StreamRng loss_rng;
   std::uint32_t loss_recipient = std::numeric_limits<std::uint32_t>::max();
-  for (auto& envelope : sh.batch) {
+  const std::size_t sent_parity = (round_ - 1) & 1;
+  for (const auto& envelope : sh.batch) {
     const std::uint32_t to = envelope.to.value();
     if (has_filter && !link_filter_(envelope.from, envelope.to)) {
       // §3: peers across a cut perceive each other as offline, but the
@@ -212,26 +247,23 @@ void RoundSimulator::step_shard(unsigned shard) {
     ++bstats.messages_delivered;
     gossip::ReplicaNode& node = nodes_[to];
     const std::uint64_t duplicates_before = node.stats().duplicate_pushes;
-    if (envelope.payload.frame) {
-      // Wire mode: deliver the shared encoded bytes; the node probes the
-      // header, counts duplicates without decoding, and stream-decodes
-      // first receipts. The in-memory payload is deliberately unused.
+    const RoundOutbox& box =
+        shards_[bus_.shard_of(envelope.from)].outbox[sent_parity];
+    if (config_.serialize_messages) {
+      // Wire mode: the node probes the header, counts duplicates without
+      // decoding, and stream-decodes first receipts.
       UPDP2P_ENSURE(node.handle_frame(envelope.from,
-                                      envelope.payload.frame.bytes(), round_,
+                                      box.frame(envelope.payload), round_,
                                       sh.reactions),
                     "own encoder output must always decode");
     } else {
-      node.handle_message(envelope.from, envelope.payload.payload, round_,
-                          sh.reactions);
+      node.handle_message(envelope.from, box.payload(envelope.payload),
+                          round_, sh.reactions);
     }
     sh.duplicates += node.stats().duplicate_pushes - duplicates_before;
     note_awareness(to, sh);
     dispatch_from(shard, envelope.to, sh.reactions);
   }
-  // Drop the batch's payloads now (capacity retained): shared payload
-  // buffers are released as soon as every recipient shard is done with
-  // them, bounding peak memory to one round's traffic.
-  sh.batch.clear();
 
   // 2. Per-round timers for this shard's online nodes. Shards are
   //    contiguous blocks, so the slice is [begin, end).

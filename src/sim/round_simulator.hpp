@@ -18,10 +18,12 @@
 // DESIGN.md "Sharded round engine".
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,6 +31,7 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "gossip/arena.hpp"
+#include "gossip/codec.hpp"
 #include "gossip/node.hpp"
 #include "net/message_bus.hpp"
 #include "sim/metrics.hpp"
@@ -51,11 +54,12 @@ struct RoundSimConfig {
   bool round_timers = true;
   double message_loss = 0.0;
   /// Serialise every payload through the binary wire codec on send (one
-  /// interned encode per fan-out, frame shared by reference) and deliver
-  /// via ReplicaNode::handle_frame (probe + lazy decode) — integration-
-  /// proves gossip/codec end to end. Byte counters charge exact encoded
-  /// sizes in BOTH modes (OutboundMessage::size_bytes == encoded frame
-  /// length), so metrics are bit-identical with this flag on or off.
+  /// encode per fan-out, stored once in the sender's RoundOutbox) and
+  /// deliver via ReplicaNode::handle_frame (probe + lazy decode) —
+  /// integration-proves gossip/codec end to end. Byte counters charge
+  /// exact encoded sizes in BOTH modes (OutboundMessage::size_bytes ==
+  /// encoded frame length), so metrics are bit-identical with this flag on
+  /// or off.
   bool serialize_messages = false;
   std::uint64_t seed = 0x5eed;
   /// Shards (= maximum worker threads) one round is stepped across.
@@ -64,15 +68,73 @@ struct RoundSimConfig {
   unsigned shard_threads = 1;
 };
 
-/// What travels on the simulator's bus. In-memory runs carry only the
-/// payload; serialize_messages runs carry only the encoded frame (the
-/// payload stays default-constructed), interned once per fan-out
-/// (gossip::FrameCache) and shared by reference across every recipient —
-/// delivery then goes through ReplicaNode::handle_frame (probe + lazy
-/// decode), so the run exercises exactly what a deployment would receive.
-struct SimPayload {
-  gossip::GossipPayload payload;  ///< engaged only in in-memory runs
-  gossip::SharedFrame frame;      ///< engaged only when serialize_messages
+/// One shard's sends of one round, addressed by slot: the simulator's bus
+/// carries a 32-bit slot into the sending shard's outbox, not the message.
+/// A wire-mode outbox holds the encoded frames back to back in one byte
+/// arena, with an (offset, length) per slot; delivery goes through
+/// ReplicaNode::handle_frame (probe + lazy decode), so the run exercises
+/// exactly what a deployment would receive. An in-memory outbox holds the
+/// GossipPayloads.
+///
+/// A push forwarded to N targets arrives as N OutboundMessages sharing one
+/// SharedValue and one SharedPeerList, so put() keys the last stored push
+/// on those identities plus the round and gives the other N-1 targets its
+/// slot: a fan-out is encoded (or stored) once. The key holds STRONG
+/// references to the value and list. Identities are compared as pointers,
+/// and keeping the objects alive is what makes that sound: a freed
+/// allocation could otherwise come back at the same address with other
+/// contents. Only pushes share a slot; they are the only kind fanned out.
+///
+/// One writer: the task of the owning shard, or the sequential phase.
+/// Other shards only read slots, in the round after they were written; the
+/// alignment keeps those reads off the cache lines the owner is writing.
+class alignas(64) RoundOutbox {
+ public:
+  explicit RoundOutbox(bool wire = false) : wire_(wire) {}
+
+  /// Stores `payload` and returns its slot. A push that continues the last
+  /// stored push's fan-out gets that push's slot and `payload` is left as
+  /// it was; otherwise wire mode encodes it (leaving it as it was) and
+  /// memory mode moves it in.
+  [[nodiscard]] std::uint32_t put(gossip::GossipPayload&& payload);
+
+  /// Wire mode: the frame in `slot`, byte for byte gossip::encode of the
+  /// payload stored there.
+  [[nodiscard]] std::span<const std::byte> frame(std::uint32_t slot) const {
+    const FrameSpan& span = frames_[slot];
+    return std::span<const std::byte>(bytes_).subspan(span.offset,
+                                                      span.length);
+  }
+  /// Memory mode: the payload in `slot`.
+  [[nodiscard]] const gossip::GossipPayload& payload(
+      std::uint32_t slot) const {
+    return payloads_[slot];
+  }
+  /// Distinct messages stored since the last clear().
+  [[nodiscard]] std::size_t size() const noexcept {
+    return wire_ ? frames_.size() : payloads_.size();
+  }
+
+  /// Forgets every slot and the fan-out key; capacity is retained.
+  void clear();
+
+ private:
+  struct FrameSpan {
+    std::uint32_t offset;
+    std::uint32_t length;
+  };
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  bool wire_;
+  gossip::WireBytes bytes_;                      ///< wire: frames back to back
+  std::vector<FrameSpan> frames_;                ///< wire: one per slot
+  std::vector<gossip::GossipPayload> payloads_;  ///< memory: one per slot
+  gossip::WireBytes scratch_;  ///< wire: one encode before it is appended
+  // The fan-out key: the last stored push's value, list and round.
+  gossip::SharedValue key_value_;
+  gossip::SharedPeerList key_list_;
+  common::Round key_round_ = 0;
+  std::uint32_t key_slot_ = kNoSlot;
 };
 
 class RoundSimulator {
@@ -131,12 +193,16 @@ class RoundSimulator {
 
  private:
   /// Per-shard state: the scratch arena shared by the shard's nodes, the
-  /// delivery batch, the reaction buffer, and this round's counters. The
-  /// whole block is cache-line aligned so two shard tasks never
-  /// false-share counter lines.
+  /// two round outboxes, the delivery batch, the reaction buffer, and this
+  /// round's counters. The whole block is cache-line aligned so two shard
+  /// tasks never false-share counter lines.
   struct alignas(64) Shard {
     gossip::WorkArena arena;
-    std::vector<net::Envelope<SimPayload>> batch;
+    /// Indexed by round parity: round t's sends go to outbox[t & 1], are
+    /// read by every shard in round t+1, and are cleared by this shard at
+    /// the start of its task in round t+2.
+    std::array<RoundOutbox, 2> outbox;
+    std::vector<net::Envelope<std::uint32_t>> batch;
     std::vector<gossip::OutboundMessage> reactions;
     std::uint64_t push_messages = 0;
     std::uint64_t pull_messages = 0;
@@ -175,7 +241,8 @@ class RoundSimulator {
   /// bootstrap); never touched by shard tasks.
   common::Rng rng_;
   std::vector<gossip::ReplicaNode> nodes_;
-  net::ShardedMessageBus<SimPayload> bus_;
+  /// Carries slots into the sending shard's round outbox.
+  net::ShardedMessageBus<std::uint32_t> bus_;
   std::function<bool(common::PeerId, common::PeerId)> link_filter_;
   unsigned shard_count_ = 1;
   std::vector<Shard> shards_;

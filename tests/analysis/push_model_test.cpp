@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 namespace updp2p::analysis {
 namespace {
@@ -217,6 +218,14 @@ struct ThresholdCase {
   double sigma;
   bool expect_spread;
 };
+
+// Without a printer GoogleTest names each case after a raw byte dump of
+// the struct, padding after `expect_spread` included, and CTest would name
+// each case after bytes that can change between builds.
+void PrintTo(const ThresholdCase& c, std::ostream* os) {
+  *os << "online" << c.online << "_fr" << c.f_r << "_sigma" << c.sigma
+      << (c.expect_spread ? "_spreads" : "_dies");
+}
 
 class PushThreshold : public ::testing::TestWithParam<ThresholdCase> {};
 

@@ -37,21 +37,21 @@ std::vector<ShardedStringBus::EnvelopeT> deliver_round(
 
 TEST(MessageBus, DeliversToOnlinePeers) {
   ShardedStringBus bus(1, 3);
-  bus.send(PeerId(1), PeerId(2), "hello", 10, 0, 0);
+  bus.send(PeerId(1), PeerId(2), "hello", 10, 0);
   EXPECT_EQ(bus.pending_count(), 1u);
   const auto delivered = deliver_round(bus, always_online);
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_EQ(delivered[0].from, PeerId(1));
   EXPECT_EQ(delivered[0].to, PeerId(2));
   EXPECT_EQ(delivered[0].payload, "hello");
-  EXPECT_EQ(delivered[0].size_bytes, 10u);
+  EXPECT_EQ(bus.stats().bytes_sent, 10u);
   EXPECT_EQ(bus.pending_count(), 0u);
 }
 
 TEST(MessageBus, DropsMessagesToOfflinePeers) {
   ShardedStringBus bus(1, 4);
-  bus.send(PeerId(1), PeerId(2), "a", 1, 0, 0);
-  bus.send(PeerId(1), PeerId(3), "b", 1, 0, 1);
+  bus.send(PeerId(1), PeerId(2), "a", 1, 0);
+  bus.send(PeerId(1), PeerId(3), "b", 1, 1);
   const auto delivered =
       deliver_round(bus, [](PeerId to) { return to == PeerId(3); });
   ASSERT_EQ(delivered.size(), 1u);
@@ -62,14 +62,14 @@ TEST(MessageBus, DropsMessagesToOfflinePeers) {
 
 TEST(MessageBus, StatsAccumulate) {
   ShardedStringBus bus(1, 3);
-  bus.send(PeerId(1), PeerId(2), "x", 100, 0, 0);
-  bus.send(PeerId(1), PeerId(2), "y", 50, 0, 1);
+  bus.send(PeerId(1), PeerId(2), "x", 100, 0);
+  bus.send(PeerId(1), PeerId(2), "y", 50, 1);
   (void)deliver_round(bus, always_online);
   EXPECT_EQ(bus.stats().messages_sent, 2u);
   EXPECT_EQ(bus.stats().bytes_sent, 150u);
   EXPECT_DOUBLE_EQ(bus.stats().delivery_ratio(), 1.0);
   // Counters accumulate across rounds.
-  bus.send(PeerId(2), PeerId(1), "z", 5, 1, 0);
+  bus.send(PeerId(2), PeerId(1), "z", 5, 0);
   (void)deliver_round(bus, always_online);
   EXPECT_EQ(bus.stats().messages_sent, 3u);
   EXPECT_EQ(bus.stats().bytes_sent, 155u);
@@ -85,8 +85,8 @@ TEST(MessageBus, EmptyRoundDeliversNothing) {
 TEST(MessageBus, MessagesQueueAcrossSends) {
   // One sender's messages arrive in send (seq) order.
   ShardedStringBus bus(1, 2);
-  bus.send(PeerId(0), PeerId(1), "first", 1, 0, 0);
-  bus.send(PeerId(0), PeerId(1), "second", 1, 0, 1);
+  bus.send(PeerId(0), PeerId(1), "first", 1, 0);
+  bus.send(PeerId(0), PeerId(1), "second", 1, 1);
   const auto delivered = deliver_round(bus, always_online);
   ASSERT_EQ(delivered.size(), 2u);
   EXPECT_EQ(delivered[0].payload, "first");
@@ -111,19 +111,20 @@ TEST(ShardedMessageBus, ShardOfPartitionsContiguously) {
 
 TEST(ShardedMessageBus, TwoPhaseDelivery) {
   ShardedStringBus bus(2, 10);
-  bus.send(PeerId(0), PeerId(7), "early", 5, 0, /*seq=*/0);
+  bus.send(PeerId(0), PeerId(7), "early", 5, /*seq=*/0);
   EXPECT_EQ(bus.pending_count(), 1u);
+  EXPECT_EQ(bus.stats().bytes_sent, 5u);  // charged at send
   bus.begin_round();
   EXPECT_EQ(bus.pending_count(), 0u);
   // Sends after begin_round queue for the NEXT round.
-  bus.send(PeerId(1), PeerId(7), "late", 4, 1, /*seq=*/0);
+  bus.send(PeerId(1), PeerId(7), "late", 4, /*seq=*/0);
 
   std::vector<ShardedStringBus::EnvelopeT> batch;
   bus.collect_into(bus.shard_of(PeerId(7)), batch, always_online);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].payload, "early");
   EXPECT_EQ(batch[0].from, PeerId(0));
-  EXPECT_EQ(batch[0].size_bytes, 5u);
+  EXPECT_EQ(bus.stats().bytes_sent, 9u);
 
   bus.begin_round();
   bus.collect_into(bus.shard_of(PeerId(7)), batch, always_online);
@@ -137,15 +138,15 @@ TEST(ShardedMessageBus, CollectSortsCanonically) {
   // delivery order independent of shard scheduling.
   ShardedStringBus bus(4, 40);
   bus.send_from_shard(bus.shard_of(PeerId(30)), PeerId(30), PeerId(3), "d",
-                      1, 0, 0);
+                      1, 0);
   bus.send_from_shard(bus.shard_of(PeerId(5)), PeerId(5), PeerId(2), "b2",
-                      1, 0, 7);
+                      1, 7);
   bus.send_from_shard(bus.shard_of(PeerId(5)), PeerId(5), PeerId(2), "b1",
-                      1, 0, 3);
+                      1, 3);
   bus.send_from_shard(bus.shard_of(PeerId(12)), PeerId(12), PeerId(2), "c",
-                      1, 0, 0);
+                      1, 0);
   bus.send_from_shard(bus.shard_of(PeerId(20)), PeerId(20), PeerId(1), "a",
-                      1, 0, 0);
+                      1, 0);
   bus.begin_round();
 
   std::vector<ShardedStringBus::EnvelopeT> batch;
@@ -160,8 +161,8 @@ TEST(ShardedMessageBus, CollectSortsCanonically) {
 
 TEST(ShardedMessageBus, StatsMergeAcrossShardSlots) {
   ShardedStringBus bus(2, 10);
-  bus.send(PeerId(0), PeerId(9), "x", 10, 0, 0);  // shard 0's slot
-  bus.send(PeerId(9), PeerId(0), "y", 20, 0, 0);  // shard 1's slot
+  bus.send(PeerId(0), PeerId(9), "x", 10, 0);  // shard 0's slot
+  bus.send(PeerId(9), PeerId(0), "y", 20, 0);  // shard 1's slot
   bus.shard_stats(0).messages_delivered = 1;
   bus.shard_stats(1).messages_dropped = 1;
   const auto merged = bus.stats();
@@ -175,7 +176,7 @@ TEST(ShardedMessageBus, SingleShardDegenerateCase) {
   ShardedStringBus bus(1, 3);
   EXPECT_EQ(bus.shard_of(PeerId(0)), 0u);
   EXPECT_EQ(bus.shard_of(PeerId(2)), 0u);
-  bus.send(PeerId(0), PeerId(1), "m", 1, 0, 0);
+  bus.send(PeerId(0), PeerId(1), "m", 1, 0);
   bus.begin_round();
   std::vector<ShardedStringBus::EnvelopeT> batch;
   bus.collect_into(0, batch, always_online);
@@ -224,7 +225,7 @@ TEST(ShardedMessageBus, CollectMatchesFilterThenSortReference) {
             rng.uniform_below(population + 16)));
         const std::uint32_t seq = next_seq[from.value()]++;
         auto payload = std::make_shared<const int>(static_cast<int>(m));
-        bus.send(from, to, payload, 1, 0, seq);
+        bus.send(from, to, payload, 1, seq);
         sent.push_back(Sent{to, from, seq, std::move(payload)});
       }
       bus.begin_round();

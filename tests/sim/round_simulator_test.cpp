@@ -1,6 +1,17 @@
 #include "sim/round_simulator.hpp"
 
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "common/rng.hpp"
+#include "gossip/codec.hpp"
+#include "version/version_id.hpp"
 
 namespace updp2p::sim {
 namespace {
@@ -238,6 +249,183 @@ TEST(RoundSimulator, WireSerializationPreservesBehaviour) {
   EXPECT_EQ(plain_metrics.final_aware_fraction(),
             wire_metrics.final_aware_fraction());
   EXPECT_GT(wire_metrics.total_bytes(), 0u);
+}
+
+// --- RoundOutbox: one shard's sends of one round, addressed by slot -------
+
+gossip::SharedValue outbox_value() {
+  version::VersionedValue value;
+  value.key = "calendar/fri-10am";
+  value.payload = "standup @ 10:30";
+  version::VersionIdFactory factory(PeerId(3), common::Rng(1));
+  value.id = factory.mint(12.5);
+  value.history.observe(PeerId(3), 7);
+  value.written_at = 12.5;
+  return gossip::SharedValue(std::move(value));
+}
+
+std::vector<std::byte> bytes_of(std::span<const std::byte> frame) {
+  return std::vector<std::byte>(frame.begin(), frame.end());
+}
+
+TEST(RoundSimulator, OutboxStoresAFanOutOnce) {
+  // A fan-out to N targets re-sends the SAME shared value/list/round: one
+  // slot, encoded (or stored) once, handed to every target.
+  gossip::PushMessage push;
+  push.value = outbox_value();
+  push.flooding_list = {PeerId(1), PeerId(2)};
+  push.round = 9;
+  const gossip::GossipPayload fanout{push};  // shares value + list
+
+  RoundOutbox wire(/*wire=*/true);
+  EXPECT_EQ(wire.size(), 0u);
+  const std::uint32_t slot = wire.put(gossip::GossipPayload{fanout});
+  for (int target = 0; target < 5; ++target) {
+    EXPECT_EQ(wire.put(gossip::GossipPayload{fanout}), slot);
+  }
+  EXPECT_EQ(wire.size(), 1u);
+  EXPECT_EQ(bytes_of(wire.frame(slot)), gossip::encode(fanout));
+
+  RoundOutbox memory(/*wire=*/false);
+  const std::uint32_t stored = memory.put(gossip::GossipPayload{fanout});
+  for (int target = 0; target < 5; ++target) {
+    EXPECT_EQ(memory.put(gossip::GossipPayload{fanout}), stored);
+  }
+  EXPECT_EQ(memory.size(), 1u);
+  const auto& kept = std::get<gossip::PushMessage>(memory.payload(stored));
+  EXPECT_EQ(kept.value.identity(), push.value.identity());
+  EXPECT_EQ(kept.flooding_list.identity(), push.flooding_list.identity());
+}
+
+TEST(RoundSimulator, OutboxFrameIsOneBufferForEveryTarget) {
+  // Every target of a fan-out reads the same bytes in place: the slot each
+  // put() hands back names one buffer, not a copy per target.
+  gossip::PushMessage push;
+  push.value = outbox_value();
+  push.flooding_list = {PeerId(4)};
+  push.round = 3;
+  const gossip::GossipPayload fanout{push};
+
+  RoundOutbox wire(/*wire=*/true);
+  EXPECT_EQ(wire.size(), 0u);
+  const std::span<const std::byte> first =
+      wire.frame(wire.put(gossip::GossipPayload{fanout}));
+  ASSERT_FALSE(first.empty());
+  for (int target = 0; target < 3; ++target) {
+    const std::span<const std::byte> again =
+        wire.frame(wire.put(gossip::GossipPayload{fanout}));
+    EXPECT_EQ(again.data(), first.data());
+    EXPECT_EQ(again.size(), first.size());
+  }
+
+  RoundOutbox memory(/*wire=*/false);
+  EXPECT_EQ(memory.size(), 0u);
+  const gossip::GossipPayload* stored =
+      &memory.payload(memory.put(gossip::GossipPayload{fanout}));
+  for (int target = 0; target < 3; ++target) {
+    EXPECT_EQ(&memory.payload(memory.put(gossip::GossipPayload{fanout})),
+              stored);
+  }
+}
+
+TEST(RoundSimulator, OutboxGivesANewSlotOnAnyKeyChange) {
+  for (const bool wire_mode : {true, false}) {
+    RoundOutbox box(wire_mode);
+    gossip::PushMessage push;
+    push.value = outbox_value();
+    push.flooding_list = {PeerId(1)};
+    push.round = 1;
+    EXPECT_EQ(box.put(gossip::GossipPayload{push}), 0u);
+
+    // Same contents, different shared allocation: identity keying must
+    // miss (contents-equal but distinct objects may diverge under COW).
+    gossip::PushMessage rebuilt;
+    rebuilt.value = outbox_value();
+    rebuilt.flooding_list = {PeerId(1)};
+    rebuilt.round = 1;
+    EXPECT_EQ(box.put(gossip::GossipPayload{rebuilt}), 1u);
+
+    // Different round under the same value/list: a new slot, holding the
+    // NEW round's bytes.
+    gossip::PushMessage next_round = rebuilt;
+    next_round.round = 2;
+    const std::uint32_t slot = box.put(gossip::GossipPayload{next_round});
+    EXPECT_EQ(slot, 2u);
+    if (wire_mode) {
+      EXPECT_EQ(bytes_of(box.frame(slot)),
+                gossip::encode(gossip::GossipPayload{next_round}));
+    } else {
+      EXPECT_EQ(std::get<gossip::PushMessage>(box.payload(slot)).round, 2u);
+    }
+
+    // Non-push payloads never share a slot, and do not break the fan-out
+    // key of the push before them.
+    EXPECT_EQ(box.put(gossip::GossipPayload{gossip::AckMessage{}}), 3u);
+    EXPECT_EQ(box.put(gossip::GossipPayload{gossip::AckMessage{}}), 4u);
+    EXPECT_EQ(box.put(gossip::GossipPayload{next_round}), slot);
+    EXPECT_EQ(box.size(), 5u);
+
+    // clear() forgets the slots and the key: the same push is stored anew.
+    box.clear();
+    EXPECT_EQ(box.size(), 0u);
+    EXPECT_EQ(box.put(gossip::GossipPayload{next_round}), 0u);
+    EXPECT_EQ(box.size(), 1u);
+  }
+}
+
+TEST(RoundSimulator, ConsecutiveUpdatesAgreeAcrossShardsAndModes) {
+  // Twelve updates on one simulator: each round reuses an outbox cleared
+  // two rounds earlier, and each update's fan-outs key on fresh value and
+  // list allocations that the allocator may place at freed addresses. Any
+  // stale slot or aliased key would make some update's metrics depend on
+  // the shard count or the mode.
+  constexpr int kUpdates = 12;
+  const auto run = [](unsigned shards, bool wire) {
+    RoundSimConfig config = base_config(300);
+    config.gossip.fanout_fraction = 0.03;
+    config.gossip.forward_probability = analysis::pf_constant(0.9);
+    config.gossip.acks.enabled = true;
+    config.gossip.pull.contacts_per_attempt = 2;
+    config.gossip.pull.no_update_timeout = 8;
+    config.message_loss = 0.05;
+    config.max_rounds = 40;
+    config.serialize_messages = wire;
+    config.shard_threads = shards;
+    RoundSimulator simulator(
+        config, std::make_unique<churn::BernoulliChurn>(300, 0.5, 0.95, 0.1));
+    std::vector<std::vector<std::uint64_t>> updates;
+    for (int k = 0; k < kUpdates; ++k) {
+      const RunMetrics metrics = simulator.propagate_update(
+          std::nullopt, "item", "v" + std::to_string(k));
+      std::vector<std::uint64_t> words;
+      for (const RoundMetrics& r : metrics.rounds) {
+        words.insert(words.end(),
+                     {r.round, r.online, r.aware_online, r.push_messages,
+                      r.pull_messages, r.ack_messages, r.query_messages,
+                      r.duplicates, r.bytes});
+      }
+      const net::BusStats bus = simulator.bus_stats();
+      words.insert(words.end(),
+                   {bus.messages_sent, bus.messages_delivered,
+                    bus.messages_to_offline, bus.messages_dropped,
+                    bus.bytes_sent});
+      updates.push_back(std::move(words));
+    }
+    return updates;
+  };
+
+  const auto reference = run(1, false);
+  ASSERT_EQ(reference.size(), static_cast<std::size_t>(kUpdates));
+  for (const unsigned shards : {1u, 2u, 8u}) {
+    for (const bool wire : {false, true}) {
+      if (shards == 1 && !wire) continue;  // the reference itself
+      const auto updates = run(shards, wire);
+      for (int k = 0; k < kUpdates; ++k) {
+        EXPECT_EQ(updates[k], reference[k])
+            << "update " << k << " shards=" << shards << " wire=" << wire;
+      }
+    }
+  }
 }
 
 TEST(RoundSimulator, RejectsMismatchedChurnPopulation) {

@@ -1,6 +1,7 @@
-// Wire-equivalence suite: the zero-copy serialized path (interned
-// SharedFrames on the bus, probe-classified duplicates, streamed
-// first-receipt decodes) must be OBSERVABLY IDENTICAL to delivering the
+// Wire-equivalence suite: the zero-copy serialized path (one encoded
+// frame per fan-out in the sender's round outbox, read by every recipient
+// shard; probe-classified duplicates; streamed first-receipt decodes)
+// must be OBSERVABLY IDENTICAL to delivering the
 // in-memory payloads — same deliveries, same duplicate counts, same
 // awareness curve, same per-node protocol state, at every shard count.
 // This is the acceptance gate for the lazy-decode trust contract: if the
