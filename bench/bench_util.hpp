@@ -66,6 +66,10 @@ struct CoreBenchRecord {
   /// usable threads) for the simulator benches, 1 for single-threaded
   /// ones — NOT the machine's thread count, which lives in the meta block.
   unsigned threads = 1;
+  /// Repetitions this benchmark ran (--benchmark_repetitions); the other
+  /// fields come from the median one. The regression guard compares only
+  /// rows captured with the same count.
+  unsigned repetitions = 1;
   /// Growth of the process peak RSS while this benchmark ran. Peak RSS is
   /// monotone, so the delta attributes footprint growth to the benchmark
   /// that caused it (0 for benches running inside already-paid memory).
@@ -199,6 +203,7 @@ inline bool write_core_bench_json(const std::string& path,
         << ", \"messages_per_sec\": " << record.messages_per_sec
         << ", \"bytes_per_msg\": " << record.bytes_per_msg
         << ", \"threads\": " << record.threads
+        << ", \"repetitions\": " << record.repetitions
         << ", \"rss_delta_kb\": " << record.rss_delta_kb << "}";
     out << (i + 1 < records.size() ? ",\n" : "\n");
   }

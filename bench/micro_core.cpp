@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the library's hot paths: version
-// vector comparison/merge, store apply/delta, replica-view sampling,
-// partial-list construction, full simulated push phases, and the
-// analytical-model evaluation itself.
+// vector comparison/merge, store apply (chain and wide history)/delta,
+// replica-view sampling, partial-list construction, full simulated push
+// phases, and the analytical-model evaluation itself.
 //
 // Usage:
 //   micro_core                  full run; writes BENCH_core.json (ns/op,
@@ -9,7 +9,13 @@
 //   micro_core --smoke          one quick pass over every bench, no JSON —
 //                               the sanitizer-build sanity check
 //   micro_core --json=<path>    override the JSON output path
-// Any other flags pass through to google-benchmark.
+//   micro_core --benchmark_repetitions=5
+//                               each JSON row is the median repetition;
+//                               the checked-in baseline is captured this
+//                               way
+// Any other flags pass through to google-benchmark (the JSON is built from
+// the individual repetitions, so --benchmark_report_aggregates_only leaves
+// it empty).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -82,6 +88,56 @@ void BM_StoreApplyChain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StoreApplyChain);
+
+void BM_StoreApplyWideHistory(benchmark::State& state) {
+  // The late-sim_wire receive shape: the store's summary already names 96
+  // writers, and each arriving value carries a 24-writer history that
+  // dominates the one version held for its key. Each op copies the value
+  // into apply(), as a push receipt does.
+  constexpr std::uint32_t kWriters = 96;
+  constexpr std::uint32_t kHistory = 24;
+  constexpr std::size_t kChain = 4096;
+  version::VersionIdFactory ids(common::PeerId(1), common::Rng(7));
+  version::VersionedValue wide;
+  wide.key = "summary";
+  wide.payload = "payload";
+  wide.id = ids.mint(0.0);
+  for (std::uint32_t w = 0; w < kWriters; ++w) {
+    wide.history.observe(common::PeerId(w), 1'000'000);
+  }
+  // A chain of values on one key, each dominating the one before it.
+  version::VersionedValue link;
+  link.key = "key";
+  link.payload = "payload";
+  for (std::uint32_t w = 0; w < kHistory; ++w) {
+    link.history.observe(common::PeerId(w * (kWriters / kHistory)), 1);
+  }
+  std::vector<version::VersionedValue> chain;
+  chain.reserve(kChain);
+  for (std::size_t i = 0; i < kChain; ++i) {
+    const auto writer = static_cast<std::uint32_t>(i % kHistory);
+    link.history.increment(common::PeerId(writer * (kWriters / kHistory)));
+    link.id = ids.mint(static_cast<double>(i));
+    chain.push_back(link);
+  }
+  const auto fresh_store = [&wide] {
+    version::VersionedStore store;
+    (void)store.apply(wide);
+    return store;
+  };
+  version::VersionedStore store = fresh_store();
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (next == kChain) {
+      state.PauseTiming();
+      store = fresh_store();
+      next = 0;
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(store.apply(chain[next++]));
+  }
+}
+BENCHMARK(BM_StoreApplyWideHistory);
 
 void BM_StoreDelta(benchmark::State& state) {
   version::VersionedStore rich;
@@ -539,19 +595,21 @@ void RegisterLargeBenches(bool include_million) {
   }
 }
 
-/// Console output plus a record of every run for BENCH_core.json.
+/// Console output plus one record per benchmark for BENCH_core.json. With
+/// --benchmark_repetitions=N google-benchmark reports the N repetitions of
+/// one benchmark as one batch (and its aggregates as a later batch, which
+/// is skipped): the record is the median repetition, so one slow or fast
+/// sample cannot move a row.
 class CollectingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
     benchmark::ConsoleReporter::ReportRuns(runs);
-    // Peak-RSS growth since the previous report batch: attributed to the
-    // first record of this batch (batches are per-benchmark, so this pins
-    // footprint growth on the bench that caused it).
-    const std::int64_t peak_now = bench::peak_rss_kb();
-    std::int64_t delta = peak_now - last_peak_kb_;
-    last_peak_kb_ = peak_now;
+    std::vector<bench::CoreBenchRecord> repetitions;
     for (const Run& run : runs) {
-      if (run.error_occurred || run.iterations == 0) continue;
+      if (run.run_type != Run::RT_Iteration || run.error_occurred ||
+          run.iterations == 0) {
+        continue;
+      }
       bench::CoreBenchRecord record;
       record.name = run.benchmark_name();
       record.ns_per_op = run.real_accumulated_time /
@@ -570,10 +628,26 @@ class CollectingReporter : public benchmark::ConsoleReporter {
       if (threads != run.counters.end() && threads->second.value >= 1) {
         record.threads = static_cast<unsigned>(threads->second.value);
       }
-      record.rss_delta_kb = delta;
-      delta = 0;
-      records.push_back(std::move(record));
+      repetitions.push_back(std::move(record));
     }
+    if (repetitions.empty()) return;
+    // The middle repetition by time (the lower middle for an even count).
+    const auto middle = repetitions.begin() +
+                        static_cast<std::ptrdiff_t>((repetitions.size() - 1) / 2);
+    std::nth_element(repetitions.begin(), middle, repetitions.end(),
+                     [](const bench::CoreBenchRecord& a,
+                        const bench::CoreBenchRecord& b) {
+                       return a.ns_per_op < b.ns_per_op;
+                     });
+    bench::CoreBenchRecord record = std::move(*middle);
+    record.repetitions = static_cast<unsigned>(repetitions.size());
+    // Peak-RSS growth since the previous batch, attributed to this one
+    // (batches are per benchmark, so this pins footprint growth on the
+    // bench that caused it).
+    const std::int64_t peak_now = bench::peak_rss_kb();
+    record.rss_delta_kb = peak_now - last_peak_kb_;
+    last_peak_kb_ = peak_now;
+    records.push_back(std::move(record));
   }
   std::vector<bench::CoreBenchRecord> records;
 

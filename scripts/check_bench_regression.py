@@ -9,15 +9,20 @@ with like hardware only: both files' meta blocks must name the same
 cpu_model and usable_threads. When they differ (or a file has no meta
 block) it compares nothing and exits 2 with a message naming both hosts and
 the command that re-captures the baseline on this one; it never passes or
-fails such a pair silently. On matching hosts a >15% ns_per_op swing on a
-pinned-iteration-count benchmark is a code change, not noise. Skip with
+fails such a pair silently. Each row is the median of its repetitions
+(micro_core --benchmark_repetitions=N records the median one), and rows
+are compared only when both files ran them the same number of times: a
+median of five against a single sample is not like with like either, and
+exits 2 the same way. On matching hosts and counts a >15% swing of the
+median ns_per_op is a code change, not noise. Skip with
 verify.sh --skip-bench-guard on busy/shared hardware.
 
 Usage:
   check_bench_regression.py BASELINE FRESH --bench NAME [--bench NAME ...]
       [--max-regression 0.15]
 
-Exit status: 0 no regression, 1 regression or missing row, 2 hosts differ.
+Exit status: 0 no regression, 1 regression or missing row, 2 hosts or
+repetition counts differ.
 """
 
 import argparse
@@ -26,8 +31,8 @@ import sys
 
 
 RECAPTURE = ("re-capture the baseline on this host: ./build/bench/micro_core "
-             "from the repo root (Release preset), then commit "
-             "BENCH_core.json")
+             "--benchmark_repetitions=5 from the repo root (Release preset), "
+             "then commit BENCH_core.json")
 
 
 def load_benchmarks(path):
@@ -75,6 +80,7 @@ def main():
     print(f"  host: {describe(fresh_host)}")
 
     failures = []
+    unlike = []
     for name in opts.benches:
         if name not in baseline:
             failures.append(f"{name}: missing from baseline {opts.baseline} "
@@ -83,6 +89,13 @@ def main():
         if name not in fresh:
             failures.append(f"{name}: missing from fresh run {opts.fresh} "
                             "(benchmark renamed or filtered out?)")
+            continue
+        # Files written before repetitions were recorded hold one sample.
+        base_reps = int(baseline[name].get("repetitions", 1))
+        fresh_reps = int(fresh[name].get("repetitions", 1))
+        if base_reps != fresh_reps:
+            unlike.append(f"{name}: baseline median of {base_reps}, "
+                          f"fresh median of {fresh_reps}")
             continue
         base_ns = float(baseline[name]["ns_per_op"])
         fresh_ns = float(fresh[name]["ns_per_op"])
@@ -94,9 +107,16 @@ def main():
                 f"{name}: {base_ns:.0f} -> {fresh_ns:.0f} ns/op "
                 f"({(ratio - 1.0) * 100:+.1f}%, limit "
                 f"+{opts.max_regression * 100:.0f}%)")
-        print(f"  {name}: {base_ns:.0f} -> {fresh_ns:.0f} ns/op "
-              f"({(ratio - 1.0) * 100:+.1f}%) {verdict}")
+        print(f"  {name}: {base_ns:.0f} -> {fresh_ns:.0f} ns/op, median of "
+              f"{fresh_reps} ({(ratio - 1.0) * 100:+.1f}%) {verdict}")
 
+    if unlike:
+        print("bench guard REFUSED: rows sampled a different number of times "
+              "are not comparable", file=sys.stderr)
+        for line in unlike:
+            print(f"  {line}", file=sys.stderr)
+        print(f"  {RECAPTURE} (or pass --skip-bench-guard)", file=sys.stderr)
+        return 2
     if failures:
         print("bench guard FAILED:", file=sys.stderr)
         for failure in failures:

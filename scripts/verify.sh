@@ -11,17 +11,18 @@
 #
 # After the Release ctest leg a bench-regression guard re-runs the guarded
 # hot-path benchmarks (BM_SimulatedUpdate10k, BM_SimulatedUpdate10kWire,
-# BM_BuildForwardListInto, BM_BusCollect, BM_StoreAppend,
-# BM_StoreReplay10k) and compares ns/op against the checked-in
-# BENCH_core.json; a >15% regression fails the verify. The Wire row guards
-# the zero-copy serialized path specifically — it is the one a codec or
-# frame-path change degrades first; BM_BusCollect guards the sharded bus
-# exchange (offline drop + linear placement); the Store rows guard the
-# durable append (paid per receipt before the ack) and the crash-recovery
-# replay pipeline. The guard only compares runs from the same host
-# (cpu_model and usable_threads); on another host it fails with the
-# re-capture command instead of comparing. Opt out with --skip-bench-guard
-# on busy or differently-provisioned machines.
+# BM_BuildForwardListInto, BM_BusCollect, BM_StoreAppend, BM_StoreReplay10k)
+# five times each and compares the median ns/op against the checked-in
+# BENCH_core.json, captured the same way (micro_core
+# --benchmark_repetitions=5); a >15% regression fails the verify. The Wire
+# row guards the zero-copy serialized path specifically — it is the one a
+# codec or frame-path change degrades first; BM_BusCollect guards the
+# sharded bus exchange (offline drop + linear placement); the Store rows
+# guard the durable append (paid per receipt before the ack) and the
+# crash-recovery replay pipeline. The guard only compares runs from the same
+# host (cpu_model and usable_threads) with the same repetition count;
+# otherwise it fails with the re-capture command instead of comparing. Opt
+# out with --skip-bench-guard on busy or differently-provisioned machines.
 #
 # The deterministic chaos harness (docs/testing.md) runs its test suite as
 # part of tier-1 (ctest label `chaos`). --chaos-seeds N adds a deeper leg:
@@ -106,6 +107,7 @@ if [[ "${SKIP_BENCH_GUARD}" == "1" ]]; then
 else
   echo "==> bench guard: guarded hot-path benches vs checked-in BENCH_core.json"
   ./build/bench/micro_core --json=build/BENCH_guard.json \
+    --benchmark_repetitions=5 \
     "--benchmark_filter=^BM_SimulatedUpdate10k\$|^BM_SimulatedUpdate10kWire\$|^BM_BuildForwardListInto\$|^BM_BusCollect\$|^BM_StoreAppend\$|^BM_StoreReplay10k\$" \
     >/dev/null
   python3 scripts/check_bench_regression.py BENCH_core.json \

@@ -101,17 +101,21 @@ std::optional<version::VersionVector> get_version_vector(
     std::span<const std::byte> bytes, std::size_t& offset) {
   const auto count = get_varint(bytes, offset);
   if (!count) return std::nullopt;
-  // Each entry needs at least two bytes; reject absurd counts early so a
-  // hostile length prefix cannot make us loop for long.
-  if (*count > bytes.size()) return std::nullopt;
-  version::VersionVector vv;
+  // Each entry needs at least two bytes, so a count the remaining bytes
+  // cannot hold fails here, before it sizes anything.
+  if (*count > (bytes.size() - offset) / 2) return std::nullopt;
+  std::vector<version::VersionVector::Entry> entries;
+  entries.reserve(static_cast<std::size_t>(*count));
   for (std::uint64_t i = 0; i < *count; ++i) {
     const auto peer = get_varint(bytes, offset);
     const auto counter = get_varint(bytes, offset);
     if (!peer || !counter || *peer >= kMaxWirePeerId) return std::nullopt;
-    vv.observe(common::PeerId(static_cast<std::uint32_t>(*peer)), *counter);
+    entries.emplace_back(common::PeerId(static_cast<std::uint32_t>(*peer)),
+                         *counter);
   }
-  return vv;
+  // Encoders write ascending ids, which from_entries adopts as is; a
+  // hostile order or repeated id folds by max like observe() would.
+  return version::VersionVector::from_entries(std::move(entries));
 }
 
 void put_value(WireBytes& out, const version::VersionedValue& value) {

@@ -32,7 +32,7 @@ void ReplicaNode::import_durable_state(
     std::vector<version::VersionedValue> values) {
   view_.merge(membership);
   for (version::VersionedValue& value : values) {
-    seen_versions_.emplace(value.id, 0u);
+    seen_versions_.try_emplace(value.id, 0u);
     (void)store_.apply(std::move(value));
   }
 }
@@ -75,7 +75,7 @@ std::vector<common::PeerId>& ReplicaNode::select_targets(std::size_t count,
 void ReplicaNode::start_push(version::VersionedValue value, common::Round now,
                              std::vector<OutboundMessage>& out) {
   ++stats_.updates_originated;
-  seen_versions_.emplace(value.id, 0);
+  seen_versions_.try_emplace(value.id, 0u);
   note_activity(now);
 
   // Round 0: the initiator selects f_r·R replicas (§4.2).
@@ -123,19 +123,25 @@ std::vector<OutboundMessage> ReplicaNode::remove(std::string_view key,
 
 bool ReplicaNode::note_push_received(common::PeerId from,
                                      const version::VersionId& id) {
+  // try_emplace looks the id up before it builds a node, so a duplicate
+  // costs one probe and no allocation.
+  const auto [seen_it, first_receipt] = seen_versions_.try_emplace(id, 0u);
+  note_push_receipt(from, first_receipt ? nullptr : &seen_it->second);
+  return first_receipt;
+}
+
+void ReplicaNode::note_push_receipt(common::PeerId from, unsigned* duplicates) {
   ++stats_.pushes_received;
   view_.add(from);
   view_.clear_presumed_offline(from);  // it is evidently online
 
-  auto [seen_it, first_receipt] = seen_versions_.emplace(id, 0u);
-  if (!first_receipt) {
-    ++seen_it->second;
+  if (duplicates != nullptr) {
+    ++*duplicates;
     ++stats_.duplicate_pushes;
     forward_.observe_push(/*duplicate=*/true);
-    return false;  // ProcessedUpdate(U,V) == TRUE: push at most once (§3)
+    return;  // ProcessedUpdate(U,V) == TRUE: push at most once (§3)
   }
   forward_.observe_push(/*duplicate=*/false);
-  return true;
 }
 
 void ReplicaNode::handle_push(common::PeerId from, const PushMessage& push,
@@ -230,13 +236,14 @@ bool ReplicaNode::handle_frame(common::PeerId from,
   const auto probe = probe_frame(frame);
   if (!probe) return false;
   if (probe->kind == WireKind::kPush) {
-    if (seen_versions_.contains(probe->version)) {
+    if (const auto seen = seen_versions_.find(probe->version);
+        seen != seen_versions_.end()) {
       // Duplicate classified from the probe alone: the dominant delivery
       // path at scale (~80% of 100k-replica deliveries) never decodes the
       // version vector or the flooding list. Only monotone bookkeeping
       // happens here (see probe_frame's trust contract) — `from` comes
       // from the transport/envelope, not the unvalidated frame tail.
-      (void)note_push_received(from, probe->version);
+      note_push_receipt(from, &seen->second);
       return true;
     }
     // First receipt: validate before mutate. The full streaming decode
@@ -247,7 +254,7 @@ bool ReplicaNode::handle_frame(common::PeerId from,
     common::ChunkedPeerSet& list = arena().recv_list;
     auto push = decode_push_into(frame, list);
     if (!push) return false;
-    // contains() above said no and nothing ran in between, so this is
+    // find() above said no and nothing ran in between, so this is
     // always the first-receipt branch.
     (void)note_push_received(from, push->value.id);
     handle_push_first(from, SharedValue(std::move(push->value)), push->round,
@@ -316,7 +323,7 @@ void ReplicaNode::handle_pull_response(common::PeerId from,
 
   for (const auto& value : response.missing) {
     const version::ApplyOutcome outcome = store_.apply(value);
-    seen_versions_.emplace(value.id, 0u);
+    seen_versions_.try_emplace(value.id, 0u);
     if (outcome == version::ApplyOutcome::kApplied ||
         outcome == version::ApplyOutcome::kCoexisting) {
       ++stats_.updates_learned_pull;

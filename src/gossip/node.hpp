@@ -216,11 +216,14 @@ class ReplicaNode {
                   std::vector<OutboundMessage>& out);
   void handle_push(common::PeerId from, const PushMessage& push,
                    common::Round now, std::vector<OutboundMessage>& out);
-  /// Common bookkeeping of every push receipt (§3's ProcessedUpdate
-  /// check): counters, view refresh, duplicate classification. Returns
-  /// true on first receipt. Shared by the in-memory and frame paths so
-  /// their observable behaviour cannot drift.
+  /// §3's ProcessedUpdate check: records `id` as seen, does the receipt
+  /// bookkeeping and returns true on first receipt.
   bool note_push_received(common::PeerId from, const version::VersionId& id);
+  /// Common bookkeeping of every push receipt: counters and view refresh,
+  /// plus duplicate accounting when `duplicates` (the version's count in
+  /// seen_versions_) is non-null. Shared by the in-memory and frame paths
+  /// so their observable behaviour cannot drift.
+  void note_push_receipt(common::PeerId from, unsigned* duplicates);
   /// The first-receipt tail of handle_push (merge, apply, ack, forward);
   /// `flooded` may alias the arena's recv_list scratch.
   void handle_push_first(common::PeerId from, const SharedValue& value,

@@ -25,8 +25,18 @@ void VersionedStore::toggle_digest(const VersionId& id) noexcept {
 ApplyOutcome VersionedStore::apply(VersionedValue value) {
   auto& slot = items_[value.key];
 
-  bool dominates_some = false;
-  for (const auto& existing : slot) {
+  // The versions of a slot are pairwise concurrent, so once the newcomer
+  // dominates one, no later one can dominate or equal it: every compare is
+  // final and dominated versions drop out as the loop goes. Only a held id
+  // can still turn up later (a hostile sender may pair it with another
+  // history); checking for one first keeps that case free of side effects.
+  const bool held = std::any_of(
+      slot.begin(), slot.end(),
+      [&value](const VersionedValue& existing) { return existing.id == value.id; });
+  const std::size_t before = slot.size();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < before; ++i) {
+    VersionedValue& existing = slot[i];
     if (existing.id == value.id) return ApplyOutcome::kDuplicate;
     switch (value.history.compare(existing.history)) {
       case Causality::kDominatedBy:
@@ -37,25 +47,20 @@ ApplyOutcome VersionedStore::apply(VersionedValue value) {
         // apply idempotent and the maximal set minimal.
         return ApplyOutcome::kObsolete;
       case Causality::kDominates:
-        dominates_some = true;
-        break;
+        if (held) break;
+        toggle_digest(existing.id);
+        continue;
       case Causality::kConcurrent:
         break;
     }
+    if (kept != i) slot[kept] = std::move(existing);
+    ++kept;
   }
-
-  // Remove every version the newcomer dominates, keep concurrents.
-  std::erase_if(slot, [this, &value](const VersionedValue& existing) {
-    if (value.history.compare(existing.history) == Causality::kDominates) {
-      toggle_digest(existing.id);
-      return true;
-    }
-    return false;
-  });
+  slot.erase(slot.begin() + static_cast<std::ptrdiff_t>(kept), slot.end());
 
   summary_.merge(value.history);
   toggle_digest(value.id);
-  const bool coexisting = !slot.empty() && !dominates_some;
+  const bool coexisting = kept > 0 && kept == before;
   slot.push_back(std::move(value));
   return coexisting ? ApplyOutcome::kCoexisting : ApplyOutcome::kApplied;
 }

@@ -8,8 +8,10 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
+#include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -26,9 +28,22 @@ enum class Causality {
 
 /// Sparse version vector. Absent entries are implicitly zero, so comparing
 /// vectors over disjoint updater sets behaves correctly.
+///
+/// Stored flat: one contiguous array of (peer, counter) entries sorted by
+/// peer, with no zero counters. That form is canonical, so the defaulted
+/// `==` is semantic equality and `entries()` is already the ascending wire
+/// order. Copies, merges and comparisons walk one buffer instead of one
+/// heap node per entry.
 class VersionVector {
  public:
+  using Entry = std::pair<common::PeerId, std::uint64_t>;
+
   VersionVector() = default;
+
+  /// The canonical vector of `entries` in any order: repeated peers fold by
+  /// max and zero counters drop, as a sequence of observe() calls would.
+  /// Already-canonical input (the ascending wire order) is adopted as is.
+  [[nodiscard]] static VersionVector from_entries(std::vector<Entry> entries);
 
   /// Records one more update originated by `peer`; returns the new counter.
   std::uint64_t increment(common::PeerId peer);
@@ -38,7 +53,9 @@ class VersionVector {
 
   [[nodiscard]] std::uint64_t get(common::PeerId peer) const noexcept;
 
-  /// Component-wise maximum (join in the lattice of histories).
+  /// Component-wise maximum (join in the lattice of histories). In place
+  /// when `other` names no peer missing here (the common case for a store
+  /// summary); otherwise one back-to-front merge after a single resize.
   void merge(const VersionVector& other);
 
   [[nodiscard]] Causality compare(const VersionVector& other) const noexcept;
@@ -56,8 +73,8 @@ class VersionVector {
   /// Total number of update events summarised by this vector.
   [[nodiscard]] std::uint64_t total_events() const noexcept;
 
-  [[nodiscard]] const std::map<common::PeerId, std::uint64_t>& entries()
-      const noexcept {
+  /// Non-zero entries in ascending peer order.
+  [[nodiscard]] std::span<const Entry> entries() const noexcept {
     return counters_;
   }
 
@@ -66,7 +83,8 @@ class VersionVector {
   [[nodiscard]] std::string to_string() const;
 
  private:
-  std::map<common::PeerId, std::uint64_t> counters_;
+  /// Sorted by peer, strictly ascending, every counter > 0.
+  std::vector<Entry> counters_;
 };
 
 std::ostream& operator<<(std::ostream& os, const VersionVector& vv);

@@ -173,6 +173,47 @@ TEST(Codec, RejectsOutOfRangePeerIds) {
   EXPECT_TRUE(decode(encode(GossipPayload{in_range})).has_value());
 }
 
+TEST(Codec, HostileHistoryOrderFoldsToCanonicalVector) {
+  // Encoders write history entries in ascending peer order, but a frame is
+  // hostile input: descending ids, a repeated id and a zero counter must
+  // decode to the max-per-peer vector and re-encode ascending.
+  version::VersionedValue value = sample_value();
+  value.history = {};
+  PushMessage push;
+  push.value = value;
+  push.round = 3;
+  const WireBytes empty_history = encode(GossipPayload{push});
+  // Offset of the history's entry count: header, key, payload, id digest.
+  const std::size_t at =
+      4 + 1 + value.key.size() + 1 + value.payload.size() + 16;
+  ASSERT_EQ(empty_history[at], std::byte{0});
+  const auto with_history = [&](std::initializer_list<std::uint64_t> fields) {
+    WireBytes frame(empty_history.begin(),
+                    empty_history.begin() + static_cast<std::ptrdiff_t>(at));
+    put_varint(frame, fields.size() / 2);
+    for (const std::uint64_t field : fields) put_varint(frame, field);
+    frame.insert(frame.end(),
+                 empty_history.begin() + static_cast<std::ptrdiff_t>(at) + 1,
+                 empty_history.end());
+    return frame;
+  };
+
+  const WireBytes hostile =
+      with_history({900, 2, 300, 5, 900, 7, 40, 0, 3, 1, 300, 4});
+  const auto decoded = decode(hostile);
+  ASSERT_TRUE(decoded.has_value());
+  const auto* back = std::get_if<PushMessage>(&*decoded);
+  ASSERT_NE(back, nullptr);
+
+  version::VersionVector expected;
+  expected.observe(PeerId(3), 1);
+  expected.observe(PeerId(300), 5);
+  expected.observe(PeerId(900), 7);
+  EXPECT_EQ(back->value->history, expected);
+  EXPECT_EQ(back->value->history.to_string(), "{3:1, 300:5, 900:7}");
+  EXPECT_EQ(encode(*decoded), with_history({3, 1, 300, 5, 900, 7}));
+}
+
 TEST(Codec, RejectsBadMagic) {
   auto bytes = encode(GossipPayload{PullRequest{}});
   bytes[0] = std::byte{0x00};

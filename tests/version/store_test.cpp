@@ -77,6 +77,42 @@ TEST_F(StoreTest, DominatingWriteCollapsesConcurrents) {
   EXPECT_EQ(store_.read("key")->payload, "merged");
 }
 
+TEST_F(StoreTest, DominatingValueRemovesBothSiblingsOnce) {
+  VersionedStore bob_store;
+  const auto from_alice = alice_.write(store_, "key", "alice", 0.0);
+  const auto from_bob = bob_.write(bob_store, "key", "bob", 0.0);
+  ASSERT_EQ(store_.apply(from_bob), ApplyOutcome::kCoexisting);
+  ASSERT_EQ(bob_store.apply(from_alice), ApplyOutcome::kCoexisting);
+  // Bob writes having seen both siblings; Alice receives it.
+  const auto merged = bob_.write(bob_store, "key", "merged", 1.0);
+  ASSERT_EQ(bob_store.versions("key").size(), 1u);
+  EXPECT_EQ(store_.apply(merged), ApplyOutcome::kApplied);
+  ASSERT_EQ(store_.versions("key").size(), 1u);
+  EXPECT_EQ(store_.versions("key").front().id, merged.id);
+  // The digest is an XOR of held ids: each sibling toggled out exactly
+  // once leaves the digest of a store holding only the newcomer.
+  VersionedStore only_merged;
+  ASSERT_EQ(only_merged.apply(merged), ApplyOutcome::kApplied);
+  EXPECT_EQ(store_.content_digest(), only_merged.content_digest());
+  EXPECT_EQ(store_.content_digest(), bob_store.content_digest());
+}
+
+TEST_F(StoreTest, HeldIdWithAnotherHistoryChangesNothing) {
+  VersionedStore bob_store;
+  const auto from_alice = alice_.write(store_, "key", "alice", 0.0);
+  const auto from_bob = bob_.write(bob_store, "key", "bob", 0.0);
+  ASSERT_EQ(store_.apply(from_bob), ApplyOutcome::kCoexisting);
+  const auto digest = store_.content_digest();
+  // A hostile sender pairs Bob's id with a history that dominates Alice's
+  // version, which the store checks before it reaches Bob's.
+  VersionedValue forged = from_bob;
+  forged.history.merge(from_alice.history);
+  ASSERT_EQ(forged.history.compare(from_alice.history), Causality::kDominates);
+  EXPECT_EQ(store_.apply(forged), ApplyOutcome::kDuplicate);
+  EXPECT_EQ(store_.version_count(), 2u);
+  EXPECT_EQ(store_.content_digest(), digest);
+}
+
 TEST_F(StoreTest, TombstoneHidesValue) {
   alice_.write(store_, "key", "v1", 0.0);
   alice_.erase(store_, "key", 1.0);

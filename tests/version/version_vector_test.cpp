@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <map>
+#include <span>
+#include <vector>
+
 #include "common/rng.hpp"
 
 namespace updp2p::version {
@@ -175,6 +181,165 @@ TEST_P(VersionVectorProperty, MergeIsLeastUpperBound) {
     }
   }
 }
+
+// --- the flat vector against a std::map reference model ----------------------
+
+/// The obvious sparse model: an ordered map, absent == zero, no zero values.
+using Model = std::map<PeerId, std::uint64_t>;
+
+void model_observe(Model& model, PeerId peer, std::uint64_t counter) {
+  if (counter == 0) return;
+  auto& slot = model[peer];
+  slot = std::max(slot, counter);
+}
+
+std::uint64_t model_get(const Model& model, PeerId peer) {
+  const auto it = model.find(peer);
+  return it == model.end() ? 0 : it->second;
+}
+
+Causality model_compare(const Model& a, const Model& b) {
+  bool greater = false;
+  bool less = false;
+  for (const auto& [peer, counter] : a) {
+    const std::uint64_t theirs = model_get(b, peer);
+    greater = greater || counter > theirs;
+    less = less || counter < theirs;
+  }
+  for (const auto& [peer, counter] : b) {
+    less = less || !a.contains(peer);
+  }
+  if (greater && less) return Causality::kConcurrent;
+  if (greater) return Causality::kDominates;
+  if (less) return Causality::kDominatedBy;
+  return Causality::kEqual;
+}
+
+void expect_matches(const VersionVector& vv, const Model& model) {
+  ASSERT_EQ(vv.entry_count(), model.size());
+  auto it = model.begin();
+  for (const auto& [peer, counter] : vv.entries()) {
+    EXPECT_EQ(peer, it->first);
+    EXPECT_EQ(counter, it->second);
+    ++it;
+  }
+}
+
+class VersionVectorModel : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(VersionVectorModel, AgreesWithMapReference) {
+  // Peers live in [0, 700): the pool's own writes fill the middle band, and
+  // merges bring in peers below, inside and above it, so merges insert at
+  // the front, the middle and the back of vectors up to ~600 entries.
+  constexpr std::uint32_t kFrontEnd = 50;
+  constexpr std::uint32_t kBackStart = 650;
+  constexpr std::uint32_t kPeers = 700;
+  common::Rng rng(GetParam());
+  std::array<VersionVector, 4> vvs;
+  std::array<Model, 4> models;
+  const auto pick = [&rng](std::uint32_t lo, std::uint32_t hi) {
+    return PeerId(lo + static_cast<std::uint32_t>(rng.uniform_below(hi - lo)));
+  };
+
+  std::size_t largest = 0;
+  for (int step = 0; step < 600; ++step) {
+    const auto at = static_cast<std::size_t>(rng.uniform_below(vvs.size()));
+    VersionVector& vv = vvs[at];
+    Model& model = models[at];
+    switch (rng.uniform_below(6)) {
+      case 0: {
+        const PeerId peer = pick(kFrontEnd, kBackStart);
+        const std::uint64_t counter = vv.increment(peer);
+        EXPECT_EQ(counter, ++model[peer]);
+        break;
+      }
+      case 1: {  // counter 0 included: it must stay implicit
+        const PeerId peer = pick(0, kPeers);
+        const std::uint64_t counter = rng.uniform_below(8);
+        vv.observe(peer, counter);
+        model_observe(model, peer, counter);
+        break;
+      }
+      case 2: {  // grow in bulk towards a few hundred entries
+        for (int i = 0; i < 60; ++i) {
+          const PeerId peer = pick(kFrontEnd, kBackStart);
+          const std::uint64_t counter = rng.uniform_below(9) + 1;
+          vv.observe(peer, counter);
+          model_observe(model, peer, counter);
+        }
+        break;
+      }
+      case 3: {  // merge another pool member (possibly itself)
+        const auto other = static_cast<std::size_t>(rng.uniform_below(vvs.size()));
+        const Model theirs = models[other];
+        vv.merge(vvs[other]);
+        for (const auto& [peer, counter] : theirs) {
+          model_observe(model, peer, counter);
+        }
+        break;
+      }
+      case 4: {  // merge a fresh vector from the front, middle or back band
+        std::uint32_t lo = 0;
+        std::uint32_t hi = kFrontEnd;
+        const auto band = rng.uniform_below(3);
+        if (band == 1) {
+          lo = kFrontEnd;
+          hi = kBackStart;
+        } else if (band == 2) {
+          lo = kBackStart;
+          hi = kPeers;
+        }
+        VersionVector incoming;
+        Model incoming_model;
+        const auto entries = rng.uniform_below(40) + 1;
+        for (std::uint64_t i = 0; i < entries; ++i) {
+          const PeerId peer = pick(lo, hi);
+          const std::uint64_t counter = rng.uniform_below(12) + 1;
+          incoming.observe(peer, counter);
+          model_observe(incoming_model, peer, counter);
+        }
+        vv.merge(incoming);
+        for (const auto& [peer, counter] : incoming_model) {
+          model_observe(model, peer, counter);
+        }
+        break;
+      }
+      default: {  // from_entries over a shuffled, repeating, zero-bearing copy
+        std::vector<VersionVector::Entry> entries(vv.entries().begin(),
+                                                  vv.entries().end());
+        const std::size_t extra = entries.size() / 2 + 1;
+        for (std::size_t i = 0; i < extra; ++i) {
+          // Counters no larger than the held ones (0 for absent peers), so
+          // folding by max and dropping zeros gives back `vv` itself.
+          const PeerId peer = pick(0, kPeers);
+          entries.emplace_back(
+              peer, std::min(model_get(model, peer), rng.uniform_below(3)));
+        }
+        rng.shuffle(std::span<VersionVector::Entry>(entries));
+        const VersionVector rebuilt =
+            VersionVector::from_entries(std::move(entries));
+        EXPECT_EQ(rebuilt, vv);
+        expect_matches(rebuilt, model);
+        break;
+      }
+    }
+    expect_matches(vv, model);
+    largest = std::max(largest, vv.entry_count());
+
+    // Queries against every pool member, each checked against the model.
+    const PeerId probe = pick(0, kPeers);
+    EXPECT_EQ(vv.get(probe), model_get(model, probe));
+    for (std::size_t other = 0; other < vvs.size(); ++other) {
+      EXPECT_EQ(vv.compare(vvs[other]), model_compare(model, models[other]));
+      EXPECT_EQ(vv == vvs[other], model == models[other]);
+    }
+    if (HasFailure()) FAIL() << "diverged at step " << step;
+  }
+  EXPECT_GE(largest, 400u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, VersionVectorModel,
+                         ::testing::Values(1, 2, 3, 7, 1234));
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VersionVectorProperty,
                          ::testing::Values(1, 2, 3, 7, 1234));
